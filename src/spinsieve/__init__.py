@@ -11,6 +11,7 @@ sieve        a_n = #{a^2 + c^4 = n}, A_d, M_d, g, h, remainder scans
 lattice      biquadratic-ellipse counts C, C0 and the elliptic integral E
 eigen        quadratic eigenvalues, spin sums, prime-weighted sums
 decomp       separation-divisor and Vaughan identities
+identities   identity suites shared by the CLI and the acceptance gate
 cli          `spinsieve` command: experiments with CSV/JSON reports
 """
 

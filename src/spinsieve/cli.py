@@ -14,188 +14,11 @@ import random
 import sys
 import time
 
-from . import arith, congruences, decomp, eigen, lattice, sieve, symbols
-from .gaussian import GaussianInt, conj, delta, is_primary, is_primitive
+from . import decomp, eigen, identities, lattice, sieve
+from .gaussian import delta
 from .reports import Report
-from .symbols import QUARTIC_ZERO, QuarticValue
 
 _X_MAX = 10**11
-
-
-def _primary_primitive(bound: int) -> list[GaussianInt]:
-    m = math.isqrt(bound)
-    out = []
-    for r in range(-m - 1, m + 2):
-        if r % 2 == 0:
-            continue
-        for s in range(-m - 1, m + 2):
-            z = GaussianInt(r, s)
-            if 0 < z.norm() <= bound and is_primary(z) and is_primitive(z):
-                out.append(z)
-    return sorted(out, key=lambda z: (z.norm(), z.re, z.im))
-
-
-def _one_mod_two(bound: int) -> list[GaussianInt]:
-    m = math.isqrt(bound)
-    return sorted(
-        (
-            GaussianInt(r, s)
-            for r in range(-m - 1, m + 2)
-            if r % 2
-            for s in range(-m - 2, m + 3)
-            if s % 2 == 0 and 0 < r * r + s * s <= bound
-        ),
-        key=lambda z: (z.norm(), z.re, z.im),
-    )
-
-
-# ---------------------------------------------------------------------------
-# identity suites
-
-
-def _suite_multiplier(bound: int, cases: int, rng: random.Random):
-    ws = _primary_primitive(bound)
-    zs = _one_mod_two(bound)
-    checked = violations = 0
-    for w in ws:
-        for z in zs:
-            if w.re * z.re - w.im * z.im == 0:
-                continue
-            ds = symbols.dirichlet_symbol(z, w)
-            rhs = (
-                QuarticValue.from_sign(symbols.epsilon_factor(w, z))
-                * symbols.jacobi_kubota(w)
-                * symbols.jacobi_kubota(z)
-                * QuarticValue.from_sign(ds)
-                if ds
-                else QUARTIC_ZERO
-            )
-            checked += 1
-            if symbols.jacobi_kubota(w * z) != rhs:
-                violations += 1
-            if w.im and z.re:
-                from .symbols import epsilon_factor_sign_form
-
-                if symbols.epsilon_factor(w, z) != epsilon_factor_sign_form(w, z):
-                    violations += 1
-    return checked, violations
-
-
-def _suite_reciprocity(bound: int, cases: int, rng: random.Random):
-    ws = _primary_primitive(bound)
-    checked = violations = 0
-    for w in ws:
-        for z in ws:
-            checked += 1
-            if symbols.dirichlet_symbol(z, w) != symbols.dirichlet_symbol(w, z):
-                violations += 1
-    return checked, violations
-
-
-def _suite_laws(bound: int, cases: int, rng: random.Random):
-    ws = _primary_primitive(bound)
-    checked = violations = 0
-    # definition equivalence on a z-grid
-    for w in ws:
-        q = w.norm()
-        omega = (-w.im * pow(w.re, -1, q)) % q
-        for _ in range(max(1, cases // max(1, len(ws)))):
-            z = GaussianInt(rng.randrange(-50, 51), rng.randrange(-50, 51))
-            checked += 1
-            if symbols.dirichlet_symbol(z, w) != symbols.dirichlet_symbol_via_root(
-                z, q, omega
-            ):
-                violations += 1
-    # norm relation and product law on random data
-    for _ in range(cases):
-        w = rng.choice(ws)
-        z = GaussianInt(rng.randrange(-40, 41), rng.randrange(-40, 41))
-        if z == GaussianInt(0, 0):
-            continue
-        q = w.norm()
-        checked += 1
-        if symbols.dirichlet_symbol(z, w) * symbols.dirichlet_symbol(
-            z, conj(w)
-        ) != arith.jacobi(z.norm() % q, q):
-            violations += 1
-        w1, w2 = rng.choice(ws), rng.choice(ws)
-        e, cof = symbols.primary_gcd_cofactor(w1, w2)
-        d = e.norm()
-        checked += 1
-        lhs = symbols.dirichlet_symbol(z, w1) * symbols.dirichlet_symbol(z, w2)
-        if lhs != arith.jacobi(z.norm() % d, d) * symbols.dirichlet_symbol(z, cof):
-            violations += 1
-        checked += 1
-        if lhs != symbols.dirichlet_symbol(z, e) * symbols.dirichlet_symbol(
-            z, conj(e)
-        ) * symbols.dirichlet_symbol(z, cof):
-            violations += 1
-    return checked, violations
-
-
-def _suite_g0(bound: int, cases: int, rng: random.Random):
-    checked = violations = 0
-    for z1, z2 in lattice.hypothesis_pairs(bound):
-        checked += 1
-        if congruences.G0_formula(z1, z2) != congruences.G0_brute(z1, z2):
-            violations += 1
-    return checked, violations
-
-
-def _suite_counts(bound: int, cases: int, rng: random.Random):
-    checked = violations = 0
-    for q in range(1, bound + 1, 2):
-        for a in range(1, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            checked += 1
-            if congruences.N_formula(a, q) != congruences.N_brute(a, q):
-                violations += 1
-    return checked, violations
-
-
-def _suite_transform(bound: int, cases: int, rng: random.Random):
-    # product of coordinate symbols against the symbol of the determinant
-    checked = violations = 0
-    for z1, z2 in lattice.hypothesis_pairs(bound):
-        if z1.re % 2 == 0 or z2.re % 2 == 0:
-            continue
-        if not (0 < z1.re * z2.re and (z1.re * z2.re) % 8 == 1):
-            continue
-        dd = abs(delta(z1, z2))
-        t = congruences.rational_residue(z1, z2, dd) if dd > 1 else 1
-        lhs = arith.jacobi_extended(t, dd)
-        rhs = arith.jacobi(z1.im, abs(z1.re)) * arith.jacobi(z2.im, abs(z2.re))
-        checked += 1
-        if lhs != rhs:
-            violations += 1
-    return checked, violations
-
-
-def _suite_residues(bound: int, cases: int, rng: random.Random):
-    checked = violations = 0
-    for d in range(1, bound + 1):
-        roots = congruences.roots_minus_one(d).roots
-        checked += 1
-        if len(roots) != congruences.rho(d):
-            violations += 1
-        for b in range(d):
-            checked += 1
-            brute = sum(1 for a in range(d) if (a * a + b * b) % d == 0)
-            if congruences.rho_b(b, d) != brute:
-                violations += 1
-    return checked, violations
-
-
-_SUITES = {
-    "multiplier": (_suite_multiplier, 500),
-    "reciprocity": (_suite_reciprocity, 500),
-    "laws": (_suite_laws, 500),
-    "g0": (_suite_g0, 500),
-    "counts": (_suite_counts, 300),
-    "transform": (_suite_transform, 500),
-    "residues": (_suite_residues, 150),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +67,17 @@ def cmd_spin(x: int, checkpoints: int, threads: int, timing: bool) -> Report:
 
 
 def cmd_identities(suite: str, bound: int | None, cases: int, seed: int) -> Report:
-    names = list(_SUITES) if suite == "all" else [suite]
+    names = list(identities.SUITES) if suite == "all" else [suite]
     rows = []
-    total_viol = 0
     for name in names:
-        fn, default_bound = _SUITES[name]
-        rng = random.Random(seed)
-        checked, violations = fn(bound or default_bound, cases, rng)
-        total_viol += violations
+        b = bound or identities.SUITES[name][1]
+        checked, violations, first = identities.run(name, b, cases, seed)
+        if violations:
+            sys.stderr.write(f"identities {name}: first failing inputs {first}\n")
         rows.append(
             {
                 "suite": name,
-                "bound": bound or default_bound,
+                "bound": b,
                 "cases": checked,
                 "violations": violations,
             }
@@ -264,7 +86,7 @@ def cmd_identities(suite: str, bound: int | None, cases: int, seed: int) -> Repo
         command="identities",
         parameters={"suite": suite, "bound": bound or 0, "cases": cases, "seed": seed},
         rows=rows,
-        summary={"violations": total_viol},
+        summary={"violations": sum(r["violations"] for r in rows)},
     )
 
 
@@ -350,13 +172,9 @@ def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
             }
         )
     vx = min(x, 2000)
-    v_bad = 0
-    for n in range(1, vx + 1):
-        for y in (10, 100):
-            t1, t2, t3 = decomp.vaughan_terms(n, y)
-            want = arith.von_mangoldt(n) if n > y else 0.0
-            if abs(t1 - t2 + t3 - want) > 1e-9:
-                v_bad += 1
+    _, v_bad, v_first = decomp.vaughan_check(vx)
+    if v_bad:
+        sys.stderr.write(f"decomp: Vaughan identity fails first at (n, y) in {v_first}\n")
     return Report(
         command="decomp",
         parameters={"x": x, "r": r, "cases": cases, "seed": seed},
@@ -370,6 +188,26 @@ def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _finite_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,33 +224,33 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="worker threads (0 = all cores)")
 
     sp = sub.add_parser("theorem1", help="Lambda-weighted count of a^2 + b^4 <= x")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--checkpoints", type=int, default=1)
+    sp.add_argument("--x", type=_finite_positive, required=True)
+    sp.add_argument("--checkpoints", type=_at_least_one, default=1)
     sp.add_argument("--timing", action="store_true")
     common(sp)
 
     sp = sub.add_parser("spin", help="spin sum over primes p = 1 (mod 4)")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--checkpoints", type=int, default=1)
+    sp.add_argument("--x", type=_finite_positive, required=True)
+    sp.add_argument("--checkpoints", type=_at_least_one, default=1)
     sp.add_argument("--timing", action="store_true")
     common(sp)
 
     sp = sub.add_parser("identities", help="exhaustive/seeded identity suites")
-    sp.add_argument("--suite", choices=tuple(_SUITES) + ("all",), default="all")
+    sp.add_argument("--suite", choices=tuple(identities.SUITES) + ("all",), default="all")
     sp.add_argument("--bound", type=int, default=0)
-    sp.add_argument("--cases", type=int, default=1000)
+    sp.add_argument("--cases", type=_at_least_one, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, threads=False)
 
     sp = sub.add_parser("remainder", help="sieve remainder scan r_d(x)")
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_finite_positive, required=True)
     sp.add_argument("--d-max", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("lattice", help="direct vs parameterized ellipse counts")
-    sp.add_argument("--m", type=float, default=2500.0)
+    sp.add_argument("--m", type=_finite_positive, default=2500.0)
     sp.add_argument("--bound", type=int, default=200)
-    sp.add_argument("--cases", type=int, default=25)
+    sp.add_argument("--cases", type=_at_least_one, default=25)
     common(sp, threads=False)
 
     sp = sub.add_parser("constants", help="kappa, 4/pi, Euler products")
@@ -421,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decomp", help="triple-sum and Vaughan identity trials")
     sp.add_argument("--x", type=int, default=2000)
     sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--cases", type=int, default=5)
+    sp.add_argument("--cases", type=_at_least_one, default=5)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, threads=False)
 
@@ -461,7 +299,7 @@ def main(argv=None) -> int:
                 parser.error("--d-max must be at most x")
             report = cmd_remainder(x, d_max, threads)
         elif args.command == "lattice":
-            if not 0 < args.m <= 10**4:
+            if args.m > 10**4:
                 parser.error("--m must be in (0, 1e4]")
             report = cmd_lattice(args.m, args.bound, args.cases)
         elif args.command == "constants":
@@ -474,13 +312,18 @@ def main(argv=None) -> int:
             parser.error("unknown command")
     except ValueError as exc:
         parser.error(str(exc))
-
-    sys.stdout.write(report.render(args.format))
     violations = report.summary.get("violations", 0)
     violations += report.summary.get("identity_failures", 0)
     violations += report.summary.get("vaughan_failures", 0)
     if report.command == "lattice" and report.summary["exact_equal"] != report.summary["pairs"]:
         violations += 1
+    # a violation outranks the usage error of a suite that checked nothing
+    if not violations and (
+        not report.rows or any(row.get("cases") == 0 for row in report.rows)
+    ):
+        parser.error(f"{args.command}: these arguments leave nothing to report or check")
+
+    sys.stdout.write(report.render(args.format))
     return 1 if violations else 0
 
 

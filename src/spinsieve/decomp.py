@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._util import Tally
 from .arith import factorize, mobius, von_mangoldt, divisors
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "identity_structure",
     "prop_24_2_check",
     "vaughan_terms",
+    "vaughan_check",
 ]
 
 
@@ -272,3 +274,16 @@ def vaughan_terms(n: int, y: int) -> tuple[float, float, float]:
         if b > y and lam[b]
     )
     return t1, t2, t3
+
+
+def vaughan_check(n_max: int):
+    """Vaughan's identity t1 - t2 + t3 = Lambda(n) [n > y] for every
+    n <= n_max and y in (10, 100), to 1e-9; returns (checked, violations,
+    first)."""
+    t = Tally()
+    for n in range(1, n_max + 1):
+        lam = von_mangoldt(n)
+        for y in (10, 100):
+            t1, t2, t3 = vaughan_terms(n, y)
+            t.case(abs(t1 - t2 + t3 - (lam if n > y else 0.0)) <= 1e-9, n, y)
+    return t.result()

@@ -23,11 +23,8 @@ __all__ = [
     "ZERO",
     "ONE",
     "I",
-    "norm",
     "conj",
-    "mul",
-    "add",
-    "sub",
+    "up_to_norm",
     "is_primary",
     "primary_associate",
     "is_primitive",
@@ -78,24 +75,23 @@ I = GaussianInt(0, 1)
 _UNITS = (ONE, I, -ONE, -I)
 
 
-def norm(z: GaussianInt) -> int:
-    return z.norm()
-
-
 def conj(z: GaussianInt) -> GaussianInt:
     return z.conj()
 
 
-def mul(z1: GaussianInt, z2: GaussianInt) -> GaussianInt:
-    return z1 * z2
-
-
-def add(z1: GaussianInt, z2: GaussianInt) -> GaussianInt:
-    return z1 + z2
-
-
-def sub(z1: GaussianInt, z2: GaussianInt) -> GaussianInt:
-    return z1 - z2
+def up_to_norm(max_norm: int, min_norm: int = 1) -> list[GaussianInt]:
+    """All nonzero z with min_norm <= |z|^2 <= max_norm, ordered by
+    (norm, re, im).  Every enumeration of Gaussian integers by norm is a
+    filter over this list."""
+    m = math.isqrt(max(max_norm, 0))
+    lo = max(min_norm, 1)
+    out = [
+        GaussianInt(r, s)
+        for r in range(-m, m + 1)
+        for s in range(-m, m + 1)
+        if lo <= r * r + s * s <= max_norm
+    ]
+    return sorted(out, key=lambda z: (z.norm(), z.re, z.im))
 
 
 def is_primary(z: GaussianInt) -> bool:

@@ -1,0 +1,178 @@
+"""Identity suites: closed forms swept against their brute-force oracles.
+
+Each suite takes (bound, cases, rng) and returns (checked, violations,
+first), where first holds the first few failing inputs.  ``SUITES`` maps a
+suite name to the suite and its default bound; the ``identities`` command
+and the acceptance gate both run suites through ``run``.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from . import arith, congruences, lattice, symbols
+from ._util import Tally
+from .gaussian import (
+    GaussianInt,
+    conj,
+    delta,
+    is_primary,
+    is_primitive,
+    rational_residue,
+    up_to_norm,
+)
+from .symbols import QUARTIC_ZERO, QuarticValue
+
+__all__ = ["SUITES", "run", "primary_primitive"]
+
+
+def primary_primitive(bound: int) -> list[GaussianInt]:
+    """Primary primitive w with norm <= bound, ordered by (norm, re, im)."""
+    return [w for w in up_to_norm(bound) if is_primary(w) and is_primitive(w)]
+
+
+def multiplier(bound: int, cases: int, rng: random.Random):
+    """[wz] = eps [w][z] (z/w) for primary primitive w and z = 1 (mod 2),
+    with the sign form of eps wherever it is defined."""
+    ws = primary_primitive(bound)
+    zs = [z for z in up_to_norm(bound) if z.re % 2 and z.im % 2 == 0]
+    t = Tally()
+    for w in ws:
+        jkw = symbols.jacobi_kubota(w)
+        for z in zs:
+            if w.re * z.re - w.im * z.im == 0:
+                continue
+            ds = symbols.dirichlet_symbol(z, w)
+            eps = symbols.epsilon_factor(w, z)
+            rhs = (
+                QuarticValue.from_sign(eps)
+                * jkw
+                * symbols.jacobi_kubota(z)
+                * QuarticValue.from_sign(ds)
+                if ds
+                else QUARTIC_ZERO
+            )
+            t.case(symbols.jacobi_kubota(w * z) == rhs, "multiplier rule", w, z)
+            if w.im and z.re and eps != symbols.epsilon_factor_sign_form(w, z):
+                t.fail("epsilon sign form", w, z)
+    return t.result()
+
+
+def reciprocity(bound: int, cases: int, rng: random.Random):
+    """xi_w(z) = xi_z(w) for every pair of primary primitive w, z."""
+    ws = primary_primitive(bound)
+    t = Tally()
+    for w in ws:
+        for z in ws:
+            t.case(symbols.dirichlet_symbol(z, w) == symbols.dirichlet_symbol(w, z), w, z)
+    return t.result()
+
+
+def laws(bound: int, cases: int, rng: random.Random):
+    """Root form of xi, norm relation and product law on seeded random z."""
+    ws = primary_primitive(bound)
+    t = Tally()
+    if not ws:
+        return t.result()
+    # definition equivalence on a z-grid
+    for w in ws:
+        q = w.norm()
+        omega = (-w.im * pow(w.re, -1, q)) % q
+        for _ in range(max(1, cases // max(1, len(ws)))):
+            z = GaussianInt(rng.randrange(-50, 51), rng.randrange(-50, 51))
+            t.case(
+                symbols.dirichlet_symbol(z, w)
+                == symbols.dirichlet_symbol_via_root(z, q, omega),
+                "root form", z, w,
+            )
+    # norm relation and product law on random data
+    for _ in range(cases):
+        w = rng.choice(ws)
+        z = GaussianInt(rng.randrange(-40, 41), rng.randrange(-40, 41))
+        if z == GaussianInt(0, 0):
+            continue
+        q = w.norm()
+        t.case(
+            symbols.dirichlet_symbol(z, w) * symbols.dirichlet_symbol(z, conj(w))
+            == arith.jacobi(z.norm() % q, q),
+            "norm relation", z, w,
+        )
+        w1, w2 = rng.choice(ws), rng.choice(ws)
+        e, cof = symbols.primary_gcd_cofactor(w1, w2)
+        d = e.norm()
+        lhs = symbols.dirichlet_symbol(z, w1) * symbols.dirichlet_symbol(z, w2)
+        t.case(
+            lhs == arith.jacobi(z.norm() % d, d) * symbols.dirichlet_symbol(z, cof),
+            "product law", z, w1, w2,
+        )
+        t.case(
+            lhs
+            == symbols.dirichlet_symbol(z, e)
+            * symbols.dirichlet_symbol(z, conj(e))
+            * symbols.dirichlet_symbol(z, cof),
+            "lower-entry law", z, w1, w2,
+        )
+    return t.result()
+
+
+def g0(bound: int, cases: int, rng: random.Random):
+    """G0 closed form = enumeration on every hypothesis pair with norms <= bound."""
+    t = Tally()
+    for z1, z2 in lattice.hypothesis_pairs(bound):
+        t.case(congruences.G0_formula(z1, z2) == congruences.G0_brute(z1, z2), z1, z2)
+    return t.result()
+
+
+def counts(bound: int, cases: int, rng: random.Random):
+    """N(a; q) closed form = count for odd q <= bound and a coprime to q."""
+    t = Tally()
+    for q in range(1, bound + 1, 2):
+        for a in range(1, q + 1):
+            if math.gcd(a, q) == 1:
+                t.case(congruences.N_formula(a, q) == congruences.N_brute(a, q), a, q)
+    return t.result()
+
+
+def transform(bound: int, cases: int, rng: random.Random):
+    """Symbol of the determinant = product of the coordinate symbols, on
+    hypothesis pairs with 0 < r1 r2 = 1 (mod 8)."""
+    t = Tally()
+    for z1, z2 in lattice.hypothesis_pairs(bound):
+        rr = z1.re * z2.re
+        if rr <= 0 or rr % 8 != 1:
+            continue
+        dd = abs(delta(z1, z2))
+        lhs = arith.jacobi_extended(rational_residue(z1, z2, dd), dd)
+        rhs = arith.jacobi(z1.im, abs(z1.re)) * arith.jacobi(z2.im, abs(z2.re))
+        t.case(lhs == rhs, z1, z2)
+    return t.result()
+
+
+def residues(bound: int, cases: int, rng: random.Random):
+    """Root counts of nu^2 + 1 = 0 and of a^2 + b^2 = 0 (mod d), d <= bound."""
+    t = Tally()
+    for d in range(1, bound + 1):
+        t.case(len(congruences.roots_minus_one(d).roots) == congruences.rho(d), d)
+        for b in range(d):
+            brute = sum(1 for a in range(d) if (a * a + b * b) % d == 0)
+            t.case(congruences.rho_b(b, d) == brute, b, d)
+    return t.result()
+
+
+SUITES = {
+    "multiplier": (multiplier, 500),
+    "reciprocity": (reciprocity, 500),
+    "laws": (laws, 500),
+    "g0": (g0, 500),
+    "counts": (counts, 300),
+    "transform": (transform, 500),
+    "residues": (residues, 150),
+}
+
+
+def run(name: str, bound: int, cases: int = 1000, seed: int = 0):
+    """Suite ``name`` at ``bound`` with a fresh Random(seed): (checked,
+    violations, first)."""
+    fn, _ = SUITES[name]
+    return fn(bound, cases, random.Random(seed))

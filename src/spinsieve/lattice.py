@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .congruences import G0_formula, _lemma_84_hypotheses
-from .gaussian import GaussianInt, delta, rational_residue
+from .gaussian import GaussianInt, delta, is_primitive, rational_residue, up_to_norm
 from .sieve import zweight
 
 __all__ = [
@@ -69,10 +69,6 @@ def weight_mass(M: float) -> float:
     lo, hi = math.sqrt(M) / 2.0, 2.0 * math.sqrt(M)
     val, _ = quad(lambda v: weight_eval(M, v * v), lo, hi, epsabs=1e-12, limit=200)
     return val
-
-
-def _hypotheses(z1: GaussianInt, z2: GaussianInt) -> int:
-    return _lemma_84_hypotheses(z1, z2)
 
 
 def _direct_weights(z1: GaussianInt, z2: GaussianInt, M: float) -> dict[int, int]:
@@ -139,7 +135,7 @@ def _sum_weights(wts: dict[int, int], M: float) -> float:
 
 def C_direct(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     """sum over w of f(w) zweight(Re conj(w) z1) zweight(Re conj(w) z2)."""
-    _hypotheses(z1, z2)
+    _lemma_84_hypotheses(z1, z2)
     return _sum_weights(_direct_weights(z1, z2, M), M)
 
 
@@ -147,7 +143,7 @@ def C_param(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     """The same sum over integer pairs (c1, c2) with c1^2 z2 = c2^2 z1
     (mod |Delta|) and w reconstructed from i Delta w = c1^2 z2 - c2^2 z1;
     agrees with C_direct exactly."""
-    _hypotheses(z1, z2)
+    _lemma_84_hypotheses(z1, z2)
     return _sum_weights(_param_weights(z1, z2, M), M)
 
 
@@ -181,17 +177,6 @@ def e_gamma_fixed(gamma: float, n: int) -> float:
     return float(4.0 * 0.5 * np.dot(w, vals))
 
 
-def _odd_primitive(max_norm: int, min_norm: int = 1) -> list[GaussianInt]:
-    m = math.isqrt(max_norm)
-    out = []
-    for r in range(-m - 1, m + 2):
-        for s in range(-m - 1, m + 2):
-            n = r * r + s * s
-            if min_norm <= n <= max_norm and n % 2 and math.gcd(r, s) == 1:
-                out.append(GaussianInt(r, s))
-    return sorted(out, key=lambda z: (z.norm(), z.re, z.im))
-
-
 def hypothesis_pairs(
     max_norm: int,
     delta_cap: int | None = None,
@@ -201,7 +186,7 @@ def hypothesis_pairs(
     """Deterministic stream of ordered pairs (z1, z2) with both odd,
     primitive, coprime, congruent mod 8, and nonzero determinant; ordered
     by (norm, re, im).  delta_cap restricts |Delta|."""
-    zs = _odd_primitive(max_norm, min_norm)
+    zs = [z for z in up_to_norm(max_norm, min_norm) if z.norm() % 2 and is_primitive(z)]
     by_class: dict[tuple[int, int], list[GaussianInt]] = {}
     for z in zs:
         by_class.setdefault((z.re % 8, z.im % 8), []).append(z)
@@ -234,8 +219,10 @@ def box_pairs(
     [norm_lo, norm_hi], argument in [angle_lo, angle_lo + angle_width))."""
     box = [
         z
-        for z in _odd_primitive(norm_hi, norm_lo)
-        if angle_lo <= math.atan2(z.im, z.re) < angle_lo + angle_width
+        for z in up_to_norm(norm_hi, norm_lo)
+        if z.norm() % 2
+        and is_primitive(z)
+        and angle_lo <= math.atan2(z.im, z.re) < angle_lo + angle_width
     ]
     for z1 in box:
         for z2 in box:
@@ -250,7 +237,7 @@ def box_pairs(
 
 def C0(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     """Zero-frequency main term |z1 z2|^(-1/2) fhat0 E(gamma) G0(z1, z2)."""
-    _hypotheses(z1, z2)
+    _lemma_84_hypotheses(z1, z2)
     n1, n2 = z1.norm(), z2.norm()
     dot = z1.re * z2.re + z1.im * z2.im  # Re(conj(z1) z2)
     mod = math.sqrt(float(n1) * float(n2))

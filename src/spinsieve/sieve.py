@@ -349,7 +349,8 @@ def theorem1_experiment(x: int, workers: int = 1) -> ExperimentReport:
     bmax = 1
     while (bmax + 1) ** 4 <= x:
         bmax += 1
-    blocks = split_range(1, bmax + 1, max(1, bmax // max(workers * 4, 8) + 1))
+    # The block size must not depend on workers: observed is summed per block.
+    blocks = split_range(1, bmax + 1, bmax // 8 + 1)
     parts = blocked_map(lambda blk: _lambda_block(x, blk[0], blk[1], pp, pp_logs),
                         blocks, workers)
     observed = math.fsum(p[0] for p in parts)

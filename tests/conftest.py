@@ -1,42 +1,8 @@
-import math
-
 import pytest
 
-from spinsieve.gaussian import GaussianInt, is_primary, is_primitive
-
-
-def primary_primitive_upto(bound):
-    """All primary primitive w with 0 < norm <= bound, sorted."""
-    m = math.isqrt(bound)
-    out = []
-    for r in range(-m - 1, m + 2):
-        if r % 2 == 0:
-            continue
-        for s in range(-m - 1, m + 2):
-            z = GaussianInt(r, s)
-            if 0 < z.norm() <= bound and is_primary(z) and is_primitive(z):
-                out.append(z)
-    return sorted(out, key=lambda z: (z.norm(), z.re, z.im))
-
-
-def one_mod_two_upto(bound):
-    """All z = 1 (mod 2) (re odd, im even) with 0 < norm <= bound, sorted."""
-    m = math.isqrt(bound)
-    out = [
-        GaussianInt(r, s)
-        for r in range(-m - 1, m + 2)
-        if r % 2
-        for s in range(-m - 2, m + 3)
-        if s % 2 == 0 and 0 < r * r + s * s <= bound
-    ]
-    return sorted(out, key=lambda z: (z.norm(), z.re, z.im))
-
-
-@pytest.fixture(scope="session")
-def pp500():
-    return primary_primitive_upto(500)
+from spinsieve.identities import primary_primitive
 
 
 @pytest.fixture(scope="session")
 def pp2000():
-    return primary_primitive_upto(2000)
+    return primary_primitive(2000)

@@ -15,11 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinsieve import arith, congruences, decomp, eigen, lattice, sieve, symbols
-from spinsieve.gaussian import GaussianInt as G, conj, delta, rational_residue
-from spinsieve.symbols import QUARTIC_ZERO, QuarticValue
-
-from conftest import one_mod_two_upto, primary_primitive_upto
+from spinsieve import arith, congruences, decomp, eigen, identities, lattice, sieve, symbols
+from spinsieve.gaussian import GaussianInt as G, conj
 
 
 def report(tag: str, name: str, ok: bool, detail: str = ""):
@@ -33,10 +30,8 @@ def report(tag: str, name: str, ok: bool, detail: str = ""):
 def test_a01_zero_frequency_closed_form():
     t0 = time.perf_counter()
     assert congruences.G0_formula(G(1, 4), G(9, 4)) == Fraction(5)
-    checked = 0
-    for z1, z2 in lattice.hypothesis_pairs(5000):
-        assert congruences.G0_formula(z1, z2) == congruences.G0_brute(z1, z2), (z1, z2)
-        checked += 1
+    checked, violations, first = identities.run("g0", 5000)
+    assert violations == 0, first
     dt = time.perf_counter() - t0
     report(
         "A01",
@@ -88,29 +83,8 @@ def test_a02_pair_count_closed_form():
 
 def test_a03_multiplier_rule():
     t0 = time.perf_counter()
-    ws = primary_primitive_upto(500)
-    zs = one_mod_two_upto(500)
-    checked = 0
-    for w in ws:
-        jkw = symbols.jacobi_kubota(w)
-        for z in zs:
-            if w.re * z.re - w.im * z.im == 0:
-                continue
-            ds = symbols.dirichlet_symbol(z, w)
-            rhs = (
-                QuarticValue.from_sign(symbols.epsilon_factor(w, z))
-                * jkw
-                * symbols.jacobi_kubota(z)
-                * QuarticValue.from_sign(ds)
-                if ds
-                else QUARTIC_ZERO
-            )
-            assert symbols.jacobi_kubota(w * z) == rhs, (w, z)
-            if w.im and z.re:
-                assert symbols.epsilon_factor(w, z) == symbols.epsilon_factor_sign_form(
-                    w, z
-                ), (w, z)
-            checked += 1
+    checked, violations, first = identities.run("multiplier", 500)
+    assert violations == 0, first
     dt = time.perf_counter() - t0
     report(
         "A03",
@@ -122,15 +96,12 @@ def test_a03_multiplier_rule():
 
 def test_a04_symbol_law_suite():
     t0 = time.perf_counter()
-    ws = primary_primitive_upto(2000)
+    ws = identities.primary_primitive(2000)
     from spinsieve.arith import jacobi
 
-    checked = 0
     # reciprocity, exhaustive pairs
-    for w in ws:
-        for z in ws:
-            assert symbols.dirichlet_symbol(z, w) == symbols.dirichlet_symbol(w, z)
-            checked += 1
+    checked, violations, first = identities.run("reciprocity", 2000)
+    assert violations == 0, first
     # definition equivalence on the coordinate grid, exhaustive in w
     rr, ss = np.meshgrid(np.arange(-50, 51), np.arange(-50, 51), indexing="ij")
     for w in ws:
@@ -177,21 +148,8 @@ def test_a04_symbol_law_suite():
 
 def test_a05_determinant_symbol_transform():
     t0 = time.perf_counter()
-    from spinsieve.arith import jacobi, jacobi_extended
-
-    checked = 0
-    for z1, z2 in lattice.hypothesis_pairs(5000):
-        if z1.re % 2 == 0:
-            continue
-        rr = z1.re * z2.re
-        if rr <= 0 or rr % 8 != 1:
-            continue
-        dd = abs(delta(z1, z2))
-        t = rational_residue(z1, z2, dd)
-        lhs = jacobi_extended(t, dd)
-        rhs = jacobi(z1.im, abs(z1.re)) * jacobi(z2.im, abs(z2.re))
-        assert lhs == rhs, (z1, z2)
-        checked += 1
+    checked, violations, first = identities.run("transform", 5000)
+    assert violations == 0, first
     dt = time.perf_counter() - t0
     report(
         "A05",
@@ -223,14 +181,8 @@ def test_a06_combinatorial_identities():
         rhs = sum(struct.c1.get(ell, 0) * v for ell, v in fs.items())
         assert lhs == rhs
     # Vaughan identity, exact for all n <= 1e5, y in {10, 100}
-    vn = 0
-    for n in range(1, 10**5 + 1):
-        L = arith.von_mangoldt(n)
-        for y in (10, 100):
-            t1, t2, t3 = decomp.vaughan_terms(n, y)
-            want = L if n > y else 0.0
-            assert abs(t1 - t2 + t3 - want) <= 1e-9, (n, y)
-            vn += 1
+    vn, v_bad, v_first = decomp.vaughan_check(10**5)
+    assert v_bad == 0, v_first
     dt = time.perf_counter() - t0
     report(
         "A06",

@@ -20,9 +20,8 @@ from spinsieve.eigen import (
     spin_sum,
 )
 from spinsieve.gaussian import GaussianInt as G
+from spinsieve.identities import primary_primitive
 from spinsieve.symbols import spin
-
-from conftest import primary_primitive_upto
 
 
 def test_psi_eval():
@@ -69,7 +68,7 @@ def test_quad_lambda_examples():
 def test_quad_lambda_forms_agree():
     twists = [None]
     seen = set()
-    for w in primary_primitive_upto(65):
+    for w in primary_primitive(65):
         if w.norm() not in seen:
             seen.add(w.norm())
             twists.append(w)

@@ -14,8 +14,6 @@ from spinsieve.gaussian import (
     ggcd,
     is_primary,
     is_primitive,
-    mul,
-    norm,
     primary_associate,
     primary_reps,
     rational_residue,
@@ -26,8 +24,8 @@ UNITS = (G(1, 0), G(0, 1), G(-1, 0), G(0, -1))
 
 
 def test_ring_ops():
-    assert norm(G(1, 4)) == 17
-    assert mul(G(-1, 2), G(3, 2)) == G(-7, 4)
+    assert G(1, 4).norm() == 17
+    assert G(-1, 2) * G(3, 2) == G(-7, 4)
     assert conj(G(9, 4)) == G(9, -4)
     assert G(2, 3) + G(1, -1) == G(3, 2)
     assert G(2, 3) - G(1, -1) == G(1, 4)

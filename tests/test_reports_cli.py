@@ -1,13 +1,17 @@
 """Report serialization contracts and the CLI exit-code surface."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinsieve.cli import main
+from spinsieve.cli import _build_parser, main
 from spinsieve.reports import REPORT_SCHEMA, Report
 
 
@@ -68,14 +72,25 @@ def test_cli_spin():
 
 
 def test_cli_usage_errors_exit_2():
-    code, _, err = run_cli("theorem1", "--x", "1e13")
-    assert code == 2
-    code, _, _ = run_cli("spin")
-    assert code == 2
-    code, _, _ = run_cli("nonsense")
-    assert code == 2
-    code, _, _ = run_cli("theorem1", "--x", "100", "--format", "xml")
-    assert code == 2
+    for args in (
+        ("theorem1", "--x", "1e13"),
+        ("spin",),
+        ("nonsense",),
+        ("theorem1", "--x", "100", "--format", "xml"),
+        ("theorem1", "--x", "inf"),
+        ("spin", "--x", "1.9"),
+        ("theorem1", "--x", "100", "--checkpoints", "0"),
+        ("identities", "--bound", "3"),
+        ("identities", "--suite", "all", "--bound", "1"),
+        ("lattice", "--bound", "0"),
+        ("lattice", "--bound", "1"),
+        ("lattice", "--cases", "0"),
+        ("lattice", "--cases", "-3"),
+        ("decomp", "--cases", "0"),
+    ):
+        code, out, err = run_cli(*args)
+        assert code == 2 and out == "", args
+        assert "usage:" in err and "Traceback" not in err, args
 
 
 def test_cli_identity_suite_green():
@@ -84,13 +99,17 @@ def test_cli_identity_suite_green():
     assert out.splitlines()[1].endswith(",0")
 
 
-def test_cli_identity_violation_exit_1(monkeypatch):
-    import spinsieve.cli as cli
+def test_cli_identity_violation_exit_1(monkeypatch, capsys):
+    from spinsieve import identities
 
     monkeypatch.setitem(
-        cli._SUITES, "residues", (lambda bound, cases, rng: (1, 1), 10)
+        identities.SUITES, "residues", (lambda bound, cases, rng: (1, 1, [(bound,)]), 10)
     )
     assert main(["identities", "--suite", "residues"]) == 1
+    assert capsys.readouterr().err.strip()
+    # a violation outranks the usage error of g0 and transform checking 0 cases
+    assert main(["identities", "--suite", "all", "--bound", "1"]) == 1
+    assert capsys.readouterr().err.strip()
 
 
 def test_cli_decomp_and_lattice_exit_0():
@@ -120,3 +139,58 @@ def test_cli_reports_byte_identical_across_runs():
         _, out1, _ = run_cli(*cmd)
         _, out2, _ = run_cli(*cmd)
         assert out1 == out2, cmd
+
+
+# Edge tokens and small ints keep every drawn run fast.
+EDGE_TOKENS = ("inf", "-inf", "nan", "0", "-3", "1.9", "1e30", "abc")
+SMALL_INTS = tuple(str(i) for i in range(1, 51))
+
+
+def _flags_by_command():
+    """{subcommand: its flag actions}, read from argparse internals; {} when a
+    later argparse no longer exposes them, which skips the fuzz test."""
+    try:
+        sub = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        return {
+            name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()
+        }
+    except (AttributeError, StopIteration):
+        return {}
+
+
+_FLAGS = _flags_by_command()
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with a value for each of its flags and a random subset of
+    its switches.  Flags with choices take one of them; of the others, at
+    most one takes an edge token and the rest take small ints."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    actions = _FLAGS[command]
+    edge = draw(st.sampled_from([None] + [a.dest for a in actions if a.nargs != 0 and not a.choices]))
+    argv = [command]
+    for action in actions:
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        pool = action.choices or (EDGE_TOKENS if action.dest == edge else SMALL_INTS)
+        argv += [flag, draw(st.sampled_from(tuple(pool)))]
+    return argv
+
+
+@pytest.mark.skipif(not _FLAGS, reason="argparse internals changed")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_cli_fuzz_no_traceback(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv

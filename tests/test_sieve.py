@@ -113,9 +113,10 @@ def test_theorem1_hand_case():
 
 
 def test_theorem1_workers_deterministic():
-    r1 = sv.theorem1_experiment(10**5, workers=1)
-    r4 = sv.theorem1_experiment(10**5, workers=4)
-    assert r1.observed == r4.observed and r1.pair_count == r4.pair_count
+    for x in (10**5, 10**7):
+        r1 = sv.theorem1_experiment(x, workers=1)
+        r4 = sv.theorem1_experiment(x, workers=4)
+        assert r1.observed == r4.observed and r1.pair_count == r4.pair_count, x
 
 
 def test_factorization_identity():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from spinsieve.arith import jacobi
-from spinsieve.gaussian import GaussianInt as G, conj, is_primary, is_primitive
+from spinsieve.gaussian import GaussianInt as G, conj, is_primitive, up_to_norm
+from spinsieve.identities import primary_primitive
 from spinsieve.symbols import (
     QUARTIC_I,
     QUARTIC_MINUS_I,
@@ -18,13 +19,10 @@ from spinsieve.symbols import (
     dirichlet_symbol,
     dirichlet_symbol_via_root,
     epsilon_factor,
-    epsilon_factor_sign_form,
     jacobi_kubota,
     primary_gcd_cofactor,
     spin,
 )
-
-from conftest import one_mod_two_upto, primary_primitive_upto
 
 
 def jacobi_table(q):
@@ -100,7 +98,7 @@ def test_definition_equivalence_heavy():
     # three constructions of xi_w agree for all primary primitive w with
     # norm <= 1e4, z on the grid |re|, |im| <= 50
     rr, ss = np.meshgrid(np.arange(-50, 51), np.arange(-50, 51), indexing="ij")
-    for w in primary_primitive_upto(10**4):
+    for w in primary_primitive(10**4):
         q = w.norm()
         jt = jacobi_table(q)
         u, v = w.re, w.im
@@ -110,7 +108,7 @@ def test_definition_equivalence_heavy():
         assert (via_root == via_re).all(), w
     # spot-check the tables against the public functions
     rng = random.Random(9)
-    for w in primary_primitive_upto(200):
+    for w in primary_primitive(200):
         q = w.norm()
         omega = (-w.im * pow(w.re, -1, q)) % q
         for _ in range(20):
@@ -122,7 +120,7 @@ def test_periodicity_multiplicativity_exhaustive():
     # period q in both coordinates and complete multiplicativity, for all
     # primary primitive w with norm <= 2000 on grid-sampled z
     rng = random.Random(10)
-    for w in primary_primitive_upto(2000):
+    for w in primary_primitive(2000):
         q = w.norm()
         for _ in range(30):
             z1 = G(rng.randrange(-40, 41), rng.randrange(-40, 41))
@@ -135,15 +133,9 @@ def test_periodicity_multiplicativity_exhaustive():
             )
 
 
-def test_reciprocity_exhaustive(pp2000):
-    for w in pp2000:
-        for z in pp2000:
-            assert dirichlet_symbol(z, w) == dirichlet_symbol(w, z)
-
-
 def test_norm_relation_exhaustive():
     rng = random.Random(11)
-    for w in primary_primitive_upto(2000):
+    for w in primary_primitive(2000):
         q = w.norm()
         wc = conj(w)
         for _ in range(25):
@@ -196,39 +188,6 @@ def test_epsilon_factor_examples():
         epsilon_factor(G(1, 1), G(1, 1))  # Re(wz) = 0
 
 
-def test_epsilon_sign_form_agreement(pp500):
-    zs = one_mod_two_upto(500)
-    for w in pp500:
-        if w.im == 0:
-            continue
-        for z in zs:
-            if z.re == 0 or w.re * z.re - w.im * z.im == 0:
-                continue
-            assert epsilon_factor(w, z) == epsilon_factor_sign_form(w, z)
-
-
-def test_multiplier_rule_exhaustive(pp500):
-    # [wz] = eps [w] [z] (z/w) for all primary primitive w and z = 1 (mod 2)
-    zs = one_mod_two_upto(500)
-    checked = 0
-    for w in pp500:
-        for z in zs:
-            if w.re * z.re - w.im * z.im == 0:
-                continue
-            ds = dirichlet_symbol(z, w)
-            rhs = (
-                QuarticValue.from_sign(epsilon_factor(w, z))
-                * jacobi_kubota(w)
-                * jacobi_kubota(z)
-                * QuarticValue.from_sign(ds)
-                if ds
-                else QUARTIC_ZERO
-            )
-            assert jacobi_kubota(w * z) == rhs, (w, z)
-            checked += 1
-    assert checked > 50000
-
-
 def test_spin():
     assert spin(5) == 1
     assert spin(13) == -1
@@ -243,8 +202,7 @@ def test_transform_identity_exhaustive():
     from spinsieve.arith import jacobi_extended
     from spinsieve.gaussian import delta, ggcd, rational_residue
 
-    zs = one_mod_two_upto(800)
-    zs = [z for z in zs if is_primitive(z)]
+    zs = [z for z in up_to_norm(800) if z.re % 2 and z.im % 2 == 0 and is_primitive(z)]
     checked = 0
     for z1 in zs:
         for z2 in zs:
