@@ -20,7 +20,6 @@ __all__ = [
     "Factorization",
     "factorize",
     "is_prime",
-    "is_prime_vec",
     "primes_up_to",
     "prime_range",
     "divisors",
@@ -120,58 +119,6 @@ def is_prime(n: int) -> bool:
         if n < bound:
             return all(_mr_witness(n, a, d, s) for a in witnesses)
     raise AssertionError("unreachable")
-
-
-def is_prime_vec(values: np.ndarray) -> np.ndarray:
-    """Vectorized deterministic primality for an array of ints < 2^32.
-
-    Uses the witness set {2, 7, 61}, complete below 4_759_123_141; the
-    2^32 cap keeps all modular products inside uint64.
-    """
-    v = np.asarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return np.zeros(0, dtype=bool)
-    if int(v.max()) >= 1 << 32:
-        raise ValueError("is_prime_vec requires values < 2^32")
-    out = np.zeros(v.shape, dtype=bool)
-    for p in (2, 3, 5, 7, 11, 13):
-        out |= v == p
-    cand = np.nonzero((v % 2 != 0) & (v % 3 != 0) & (v % 5 != 0)
-                      & (v % 7 != 0) & (v % 11 != 0) & (v % 13 != 0) & (v > 1))[0]
-    if cand.size == 0:
-        return out
-    n = v[cand]
-    d = n - 1
-    s = np.zeros(n.shape, dtype=np.uint64)
-    while True:
-        even = d % 2 == 0
-        if not even.any():
-            break
-        d[even] //= 2
-        s[even] += 1
-    maxbits = int(d.max()).bit_length()
-    passed = np.ones(n.shape, dtype=bool)
-    for a in (2, 7, 61):
-        base = np.full(n.shape, a, dtype=np.uint64) % n
-        x = np.ones(n.shape, dtype=np.uint64)
-        bit = d.copy()
-        sq = base.copy()
-        for _ in range(maxbits):
-            odd = (bit & 1).astype(bool)
-            x[odd] = x[odd] * sq[odd] % n[odd]
-            sq = sq * sq % n
-            bit >>= 1
-        ok = (x == 1) | (x == n - 1) | (base == 0)
-        r = np.zeros(n.shape, dtype=np.uint64)  # squarings performed
-        live = ~ok & (s > 1)
-        while live.any():
-            x[live] = x[live] * x[live] % n[live]
-            r[live] += 1
-            ok |= live & (x == n - 1)
-            live &= ~ok & (r < s - 1)
-        passed &= ok
-    out[cand] = passed
-    return out
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,15 @@ _X_MAX = 10**11
 # commands
 
 
+def _decades(x: int, checkpoints: int, least: int) -> list[int]:
+    # x // 10^k for k < checkpoints, ascending, keeping those >= least; past
+    # k = log10(x) every x // 10^k is 0, so k stops there.
+    ks = range(min(checkpoints, len(str(x))) - 1, -1, -1)
+    return [x // 10**k for k in ks if x // 10**k >= least]
+
+
 def cmd_theorem1(x: int, checkpoints: int, threads: int, timing: bool) -> Report:
-    xs = [x // 10**k for k in range(checkpoints - 1, -1, -1) if x // 10**k >= 1]
+    xs = _decades(x, checkpoints, 1)
     rows = []
     for xv in xs:
         rep = sieve.theorem1_experiment(xv, workers=threads)
@@ -49,7 +56,7 @@ def cmd_theorem1(x: int, checkpoints: int, threads: int, timing: bool) -> Report
 
 
 def cmd_spin(x: int, checkpoints: int, threads: int, timing: bool) -> Report:
-    xs = [x // 10**k for k in range(checkpoints - 1, -1, -1) if x // 10**k >= 2]
+    xs = _decades(x, checkpoints, 2)
     rows = []
     for xv in xs:
         t0 = time.perf_counter()
@@ -200,14 +207,17 @@ def _finite_positive(text: str) -> float:
     return value
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(floor: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,25 +230,25 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, threads=True):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if threads:
-            sp.add_argument("--threads", type=int, default=0,
+            sp.add_argument("--threads", type=_int_at_least(0), default=0,
                             help="worker threads (0 = all cores)")
 
     sp = sub.add_parser("theorem1", help="Lambda-weighted count of a^2 + b^4 <= x")
     sp.add_argument("--x", type=_finite_positive, required=True)
-    sp.add_argument("--checkpoints", type=_at_least_one, default=1)
+    sp.add_argument("--checkpoints", type=_int_at_least(1), default=1)
     sp.add_argument("--timing", action="store_true")
     common(sp)
 
     sp = sub.add_parser("spin", help="spin sum over primes p = 1 (mod 4)")
     sp.add_argument("--x", type=_finite_positive, required=True)
-    sp.add_argument("--checkpoints", type=_at_least_one, default=1)
+    sp.add_argument("--checkpoints", type=_int_at_least(1), default=1)
     sp.add_argument("--timing", action="store_true")
     common(sp)
 
     sp = sub.add_parser("identities", help="exhaustive/seeded identity suites")
     sp.add_argument("--suite", choices=tuple(identities.SUITES) + ("all",), default="all")
     sp.add_argument("--bound", type=int, default=0)
-    sp.add_argument("--cases", type=_at_least_one, default=1000)
+    sp.add_argument("--cases", type=_int_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, threads=False)
 
@@ -250,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lattice", help="direct vs parameterized ellipse counts")
     sp.add_argument("--m", type=_finite_positive, default=2500.0)
     sp.add_argument("--bound", type=int, default=200)
-    sp.add_argument("--cases", type=_at_least_one, default=25)
+    sp.add_argument("--cases", type=_int_at_least(1), default=25)
     common(sp, threads=False)
 
     sp = sub.add_parser("constants", help="kappa, 4/pi, Euler products")
@@ -259,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decomp", help="triple-sum and Vaughan identity trials")
     sp.add_argument("--x", type=int, default=2000)
     sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--cases", type=_at_least_one, default=5)
+    sp.add_argument("--cases", type=_int_at_least(1), default=5)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, threads=False)
 

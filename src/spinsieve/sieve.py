@@ -8,6 +8,10 @@ constant 4/pi, and the desk-scale prime-values experiment
     sum over positive a, b with a^2 + b^4 <= x of Lambda(a^2 + b^4)
       ~ (4/pi) kappa x^(3/4).
 
+The experiment finds the prime values with a root sieve on each b-line: a
+prime p <= sqrt(x) divides a^2 + b^4 only on the classes a = +-nu b^2
+(mod p) with nu^2 = -1 (mod p), or a = 0 when p | b, or a = b (mod 2).
+
 Counts are exact integers; densities are exact rationals; only the final
 Lambda-weighted sums are floating point (deterministic block order).
 """
@@ -23,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._util import blocked_map, split_range
-from .arith import chi4, factorize, is_prime, is_prime_vec, primes_up_to, sqrt_mod
+from .arith import chi4, factorize, primes_up_to, sqrt_mod
 from .congruences import rho, rho_b, _crt_roots
 from .gaussian import gaussian_reps
 
@@ -287,10 +291,11 @@ def H_partial(P: int) -> float:
     return float(np.prod(1.0 - signs / ps))
 
 
-def _prime_power_table(x: int) -> tuple[np.ndarray, np.ndarray]:
-    # Prime powers p^k <= x with k >= 2, with their log p weights.
+def _prime_power_table(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Prime powers p^k <= x with k >= 2, with their log p weights; primes
+    # holds every prime <= sqrt(x).
     vals, logs = [], []
-    for p in primes_up_to(math.isqrt(x)):
+    for p in primes:
         p = int(p)
         v = p * p
         lp = math.log(p)
@@ -305,11 +310,64 @@ def _prime_power_table(x: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _lambda_block(x: int, b_lo: int, b_hi: int, pp, pp_logs) -> tuple[float, int]:
+# A residue class whose prime p has at least this many members on a line is
+# marked with a strided slice; the sparser classes go through one scatter.
+_SLICE_MIN_HITS = 32
+
+
+class _RootSieve:
+    """Which n = a^2 + b^4 <= x are prime, along each line 1 <= a <= amax.
+
+    A prime p divides a^2 + b^4 exactly when a^2 = -b^4 (mod p):
+      p = 2:           a = b (mod 2);
+      p = 1 (mod 4):   a = +-nu_p b^2 (mod p), where nu_p^2 = -1 (mod p);
+      p = 3 (mod 4):   p | b and p | a.
+    These are the rho(p) = 1 + chi4(p) roots the paper sieves with.  A value
+    above sqrt(x) is prime iff no prime p <= sqrt(x) divides it; values up to
+    sqrt(x) are read from a prime table.  Memory is O(sqrt(x)) per line.
+    """
+
+    def __init__(self, x: int, primes: np.ndarray):
+        # primes: every prime <= sqrt(x), ascending
+        self.root = math.isqrt(x)
+        self.table = np.zeros(self.root + 1, dtype=bool)
+        self.table[primes] = True
+        self.split = primes[primes % 4 == 1]
+        self.nu = np.array([sqrt_mod(-1, int(p))[0] for p in self.split], dtype=np.int64)
+        self.inert = primes[primes % 4 == 3]
+
+    def line(self, b: int, amax: int) -> np.ndarray:
+        """Mask over a = 1..amax: True where a^2 + b^4 is prime."""
+        split = self.split
+        nub2 = self.nu * (b * b % split) % split
+        inert = self.inert[b % self.inert == 0]
+        ps = np.concatenate((split, split, inert))
+        roots = np.concatenate((nub2, (split - nub2) % split, np.zeros_like(inert)))
+        first = (roots - 1) % ps  # index a - 1 of the least a >= 1 in each class
+        composite = np.zeros(amax, dtype=bool)
+        if self.root >= 2:
+            composite[(b - 1) % 2 :: 2] = True
+        dense = ps * _SLICE_MIN_HITS <= amax
+        for p, i in zip(ps[dense].tolist(), first[dense].tolist()):
+            composite[i::p] = True
+        ps, first = ps[~dense], first[~dense]
+        hits = (amax - 1 - first) // ps + 1
+        rank = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
+        composite[np.repeat(first, hits) + rank * np.repeat(ps, hits)] = True
+        prime = ~composite
+        b4 = b**4
+        if b4 < self.root:
+            low = np.arange(1, math.isqrt(self.root - b4) + 1, dtype=np.int64)
+            prime[: low.size] = self.table[low * low + b4]
+        return prime
+
+
+def _lambda_block(
+    x: int, b_lo: int, b_hi: int, root_sieve: _RootSieve, pp, pp_logs
+) -> tuple[float, int]:
     # sum of Lambda(a^2 + b^4) over b in [b_lo, b_hi), a >= 1, n <= x.
     obs = 0.0
     pairs = 0
-    vec_ok = x < 1 << 32
     for b in range(b_lo, b_hi):
         b4 = b**4
         if b4 >= x:
@@ -320,38 +378,38 @@ def _lambda_block(x: int, b_lo: int, b_hi: int, pp, pp_logs) -> tuple[float, int
         a = np.arange(1, amax + 1, dtype=np.int64)
         n = a * a + b4
         pairs += amax
-        if vec_ok:
-            mask = is_prime_vec(n)
-        else:
-            small = n < 1 << 32
-            mask = np.zeros(n.shape, dtype=bool)
-            mask[small] = is_prime_vec(n[small])
-            big = np.nonzero(~small)[0]
-            mask[big] = [is_prime(int(v)) for v in n[big]]
+        mask = root_sieve.line(b, amax)
         obs += float(np.log(n[mask].astype(np.float64)).sum())
-        if pp.size:
-            idx = np.searchsorted(pp, n)
-            idx[idx == pp.size] = 0
-            found = pp[idx] == n
-            obs += float(pp_logs[idx[found]].sum())
+        # n ascends with a, so look up the prime powers inside [n[0], n[-1]]
+        lo = np.searchsorted(pp, n[0])
+        hi = np.searchsorted(pp, n[-1], side="right")
+        window = pp[lo:hi]
+        found = n[np.searchsorted(n, window)] == window
+        obs += float(pp_logs[lo:hi][found].sum())
     return obs, pairs
 
 
 def theorem1_experiment(x: int, workers: int = 1) -> ExperimentReport:
     """Observed sum of Lambda(a^2 + b^4) over positive a, b (pairs counted
-    with multiplicity, prime powers included) against (4/pi) kappa x^(3/4)."""
+    with multiplicity, prime powers included) against (4/pi) kappa x^(3/4).
+
+    The prime values come from the root sieve of _RootSieve over the primes
+    <= sqrt(x), with no primality test per value; the prime powers p^k,
+    k >= 2, from a table of them.  Memory is O(sqrt(x))."""
     if x < 1:
         raise ValueError("x must be positive")
     if x > 10**11:
         raise ValueError("x capped at 1e11")
     t0 = time.perf_counter()
-    pp, pp_logs = _prime_power_table(x)
+    primes = primes_up_to(math.isqrt(x))
+    pp, pp_logs = _prime_power_table(x, primes)
+    root_sieve = _RootSieve(x, primes)
     bmax = 1
     while (bmax + 1) ** 4 <= x:
         bmax += 1
     # The block size must not depend on workers: observed is summed per block.
     blocks = split_range(1, bmax + 1, bmax // 8 + 1)
-    parts = blocked_map(lambda blk: _lambda_block(x, blk[0], blk[1], pp, pp_logs),
+    parts = blocked_map(lambda blk: _lambda_block(x, blk[0], blk[1], root_sieve, pp, pp_logs),
                         blocks, workers)
     observed = math.fsum(p[0] for p in parts)
     pairs = sum(p[1] for p in parts)

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from spinsieve import arith as ar
@@ -59,10 +58,6 @@ def test_is_prime_examples_and_oracle():
     sieve = set(ar.primes_up_to(50000).tolist())
     for n in range(50000):
         assert ar.is_prime(n) == (n in sieve)
-    # vectorized path agrees with the scalar one
-    rng = np.random.default_rng(1)
-    v = rng.integers(2, 2**32 - 1, 5000)
-    assert (ar.is_prime_vec(v) == np.array([ar.is_prime(int(x)) for x in v])).all()
 
 
 def test_multiplicative_functions():

@@ -87,10 +87,20 @@ def test_cli_usage_errors_exit_2():
         ("lattice", "--cases", "0"),
         ("lattice", "--cases", "-3"),
         ("decomp", "--cases", "0"),
+        ("spin", "--x", "100", "--threads", "-3"),
+        ("theorem1", "--x", "100", "--threads", "-3"),
     ):
         code, out, err = run_cli(*args)
         assert code == 2 and out == "", args
         assert "usage:" in err and "Traceback" not in err, args
+
+
+def test_cli_checkpoints_past_log10_x_add_no_rows():
+    # k stops at log10(x), so a huge --checkpoints costs nothing and adds no row
+    code, out, _ = run_cli("theorem1", "--x", "100", "--checkpoints", "100000")
+    assert code == 0
+    assert out == run_cli("theorem1", "--x", "100", "--checkpoints", "3")[1]
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "10", "100"]
 
 
 def test_cli_identity_suite_green():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinsieve import arith as ar
 from spinsieve import sieve as sv
 
 
@@ -117,6 +118,65 @@ def test_theorem1_workers_deterministic():
         r1 = sv.theorem1_experiment(x, workers=1)
         r4 = sv.theorem1_experiment(x, workers=4)
         assert r1.observed == r4.observed and r1.pair_count == r4.pair_count, x
+
+
+def _lines(x):
+    """(b, amax) for every b-line of a^2 + b^4 <= x with a, b >= 1."""
+    b = 1
+    while b**4 < x:
+        yield b, math.isqrt(x - b**4)
+        b += 1
+
+
+def _root_sieve(x):
+    return sv._RootSieve(x, ar.primes_up_to(math.isqrt(x)))
+
+
+def test_root_sieve_equals_is_prime_on_every_line():
+    # x = 2, 3: sqrt(x) < 2, so p = 2 must not remove n = 2
+    for x in (2, 3, 4, 5, 17, 18, 100, 257, 10**4, 10**6):
+        rs = _root_sieve(x)
+        lines = list(_lines(x))
+        assert lines, x
+        for b, amax in lines:
+            want = [ar.is_prime(a * a + b**4) for a in range(1, amax + 1)]
+            assert rs.line(b, amax).tolist() == want, (x, b)
+
+
+def test_root_sieve_above_2_32():
+    x = 2**32 + 10**6
+    lo = 2**32 - 10**5
+    rs = _root_sieve(x)
+    checked = 0
+    for b, amax in _lines(x):
+        if b <= 2:
+            assert amax**2 + b**4 > 2**32, b  # the line crosses 2^32
+        mask = rs.line(b, amax)
+        a0 = math.isqrt(max(lo - b**4, 0)) + 1  # least a with a^2 + b^4 > lo
+        for a in range(a0, amax + 1):
+            assert mask[a - 1] == ar.is_prime(a * a + b**4), (b, a)
+            checked += 1
+    assert checked > 3000
+
+
+def test_root_sieve_last_line():
+    # the last line, b^4 close to x, holds one or two values
+    for b in (1, 2, 3, 10, 57, 300):
+        for gap in (1, 2, 3, 4, 8):
+            x = b**4 + gap
+            amax = math.isqrt(gap)
+            assert max(bl for bl, _ in _lines(x)) == b and amax in (1, 2)
+            want = [ar.is_prime(a * a + b**4) for a in range(1, amax + 1)]
+            assert _root_sieve(x).line(b, amax).tolist() == want, (b, gap)
+
+
+def test_theorem1_equals_direct_lambda_sum():
+    for x in (2, 3, 4, 5, 17, 18, 100, 257, 10**4, 10**5):
+        values = [a * a + b**4 for b, amax in _lines(x) for a in range(1, amax + 1)]
+        direct = math.fsum(ar.von_mangoldt(n) for n in values)
+        rep = sv.theorem1_experiment(x)
+        assert rep.pair_count == len(values), x
+        assert abs(rep.observed - direct) <= 1e-12 * direct, x
 
 
 def test_factorization_identity():
