@@ -1,22 +1,7 @@
-"""Shared plumbing: deterministic block-parallel mapping, integer helpers and
-the tally of an identity check."""
+"""Shared plumbing: fixed-size range blocks and the tally of an identity
+check."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-
-
-def blocked_map(fn, blocks, workers: int = 1) -> list:
-    """Apply ``fn`` to every block and return results in block order.
-
-    The reduction order is fixed by the block list, never by completion
-    order, so results are identical for any worker count.
-    """
-    blocks = list(blocks)
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
 
 
 def split_range(lo: int, hi: int, block: int):

@@ -1,9 +1,10 @@
 """Command-line surface: experiments and identity suites with CSV/JSON reports.
 
-Exit codes: 0 success, 1 identity violation, 2 usage error.  Reports are
-byte-identical across runs and across --threads settings; wall-clock
+Exit codes: 0 success, 1 identity violation, 2 usage error.  Every command
+runs in one thread, and reports are byte-identical across runs; wall-clock
 timing columns are emitted only under --timing so that default output
-stays reproducible.
+stays reproducible.  --threads is accepted for compatibility and selects
+nothing.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ def _decades(x: int, checkpoints: int, least: int) -> list[int]:
     return [x // 10**k for k in ks if x // 10**k >= least]
 
 
-def cmd_theorem1(x: int, checkpoints: int, threads: int, timing: bool) -> Report:
+def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> Report:
     xs = _decades(x, checkpoints, 1)
     rows = []
     for xv in xs:
-        rep = sieve.theorem1_experiment(xv, workers=threads)
+        rep = sieve.theorem1_experiment(xv)
         row = {
             "x": rep.x,
             "observed": rep.observed,
@@ -55,12 +56,12 @@ def cmd_theorem1(x: int, checkpoints: int, threads: int, timing: bool) -> Report
     )
 
 
-def cmd_spin(x: int, checkpoints: int, threads: int, timing: bool) -> Report:
+def cmd_spin(x: int, checkpoints: int, timing: bool) -> Report:
     xs = _decades(x, checkpoints, 2)
     rows = []
     for xv in xs:
         t0 = time.perf_counter()
-        total, count = eigen.spin_sum(xv, workers=threads)
+        total, count = eigen.spin_sum(xv)
         row = {"x": xv, "spin_sum": total, "prime_count": count}
         if timing:
             row["runtime_s"] = time.perf_counter() - t0
@@ -97,8 +98,8 @@ def cmd_identities(suite: str, bound: int | None, cases: int, seed: int) -> Repo
     )
 
 
-def cmd_remainder(x: int, d_max: int, threads: int) -> Report:
-    rows_raw, summary = sieve.remainder_scan(x, d_max, workers=threads)
+def cmd_remainder(x: int, d_max: int) -> Report:
+    rows_raw, summary = sieve.remainder_scan(x, d_max)
     rows = [
         {
             "d": r.d,
@@ -231,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if threads:
             sp.add_argument("--threads", type=_int_at_least(0), default=0,
-                            help="worker threads (0 = all cores)")
+                            help="accepted for compatibility; every command runs in one thread")
 
     sp = sub.add_parser("theorem1", help="Lambda-weighted count of a^2 + b^4 <= x")
     sp.add_argument("--x", type=_finite_positive, required=True)
@@ -279,23 +280,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", 1)
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
 
     try:
         if args.command == "theorem1":
             x = int(args.x)
             if not 1 <= x <= _X_MAX:
                 parser.error(f"--x must be in [1, {_X_MAX}]")
-            report = cmd_theorem1(x, args.checkpoints, threads, args.timing)
+            report = cmd_theorem1(x, args.checkpoints, args.timing)
         elif args.command == "spin":
             x = int(args.x)
             if not 1 <= x <= 10**9:
                 parser.error("--x must be in [1, 1e9]")
-            report = cmd_spin(x, args.checkpoints, threads, args.timing)
+            report = cmd_spin(x, args.checkpoints, args.timing)
         elif args.command == "identities":
             report = cmd_identities(
                 args.suite, args.bound or None, args.cases, args.seed
@@ -307,7 +303,7 @@ def main(argv=None) -> int:
             d_max = args.d_max or math.isqrt(x)
             if d_max > x:
                 parser.error("--d-max must be at most x")
-            report = cmd_remainder(x, d_max, threads)
+            report = cmd_remainder(x, d_max)
         elif args.command == "lattice":
             if args.m > 10**4:
                 parser.error("--m must be in (0, 1e4]")
@@ -317,6 +313,8 @@ def main(argv=None) -> int:
         elif args.command == "decomp":
             if args.x < 1 or args.r < 2:
                 parser.error("--x >= 1 and --r >= 2 required")
+            if args.x > 10**6:
+                parser.error("--x must be in [1, 1e6]")
             report = cmd_decomp(args.x, args.r, args.cases, args.seed)
         else:  # pragma: no cover
             parser.error("unknown command")

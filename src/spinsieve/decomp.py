@@ -44,6 +44,8 @@ def kth_root(x: int, k: int) -> int:
         raise ValueError("kth_root needs x >= 0, k >= 1")
     if x < 2 or k == 1:
         return x
+    if k >= x.bit_length():  # 2^k > x; (t + 1)^k below would build a k-bit number
+        return 1
     t = int(round(x ** (1.0 / k)))
     while t**k > x:
         t -= 1

@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._util import blocked_map, split_range
+from ._util import split_range
 from .arith import jacobi, prime_range
 from .gaussian import GaussianInt, is_primary, is_primitive, primary_reps
 from .symbols import dirichlet_symbol, jacobi_kubota, spin
@@ -139,27 +139,23 @@ def _spin_block(lo: int, hi: int) -> tuple[int, int]:
     return total, count
 
 
-def spin_sum(x: int, workers: int = 1) -> tuple[int, int]:
+def spin_sum(x: int) -> tuple[int, int]:
     """(sum of spins, count) over primes p = 1 (mod 4), p <= x, streamed
-    from a segmented sieve."""
+    from a segmented sieve in segments that bound its memory."""
     if x < 2:
         return 0, 0
     if x > 10**9:
         raise ValueError("x capped at 1e9")
-    blocks = split_range(2, x + 1, max(1 << 16, x // max(workers * 8, 16) + 1))
-    parts = blocked_map(lambda b: _spin_block(b[0], b[1]), blocks, workers)
+    parts = [_spin_block(lo, hi) for lo, hi in split_range(2, x + 1, max(1 << 16, x // 16 + 1))]
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
-def lambda_prime_sum(
-    x: int, c: int = 1, psi: HeckeCharacter = TRIVIAL, workers: int = 1
-) -> complex:
+def lambda_prime_sum(x: int, c: int = 1, psi: HeckeCharacter = TRIVIAL) -> complex:
     """sum_{n <= x} Lambda(n) quad_lambda(c n, psi), over prime powers n."""
     if x < 1 or c < 1:
         raise ValueError("x and c must be positive")
 
-    def block(rng) -> complex:
-        lo, hi = rng
+    def block(lo: int, hi: int) -> complex:
         total = 0j
         for p in prime_range(lo, hi):
             p = int(p)
@@ -170,9 +166,9 @@ def lambda_prime_sum(
                 pk *= p
         return total
 
-    # prime powers p^k <= x are swept by iterating p in blocks
-    blocks = split_range(2, x + 1, max(1 << 15, x // max(workers * 8, 16) + 1))
-    parts = blocked_map(block, blocks, workers)
+    # prime powers p^k <= x are swept by iterating p in segments, each
+    # summed on its own, which fixes the rounding of the total
+    parts = [block(lo, hi) for lo, hi in split_range(2, x + 1, max(1 << 15, x // 16 + 1))]
     return sum(parts, 0j)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .congruences import G0_formula, _lemma_84_hypotheses
 from .gaussian import GaussianInt, delta, is_primitive, rational_residue, up_to_norm
@@ -66,6 +65,8 @@ def weight_eval(M: float, u: float) -> float:
 
 def weight_mass(M: float) -> float:
     """Radial mass fhat0 = int_0^inf frak_f(v^2) dv (the radius integral)."""
+    from scipy.integrate import quad  # deferred: most of the package's cold import
+
     lo, hi = math.sqrt(M) / 2.0, 2.0 * math.sqrt(M)
     val, _ = quad(lambda v: weight_eval(M, v * v), lo, hi, epsabs=1e-12, limit=200)
     return val
@@ -156,6 +157,8 @@ def E_gamma(gamma: float) -> float:
     def f(u):
         w = u * u - gamma
         return 1.0 / math.sqrt(w * w + dsq)
+
+    from scipy.integrate import quad  # deferred: most of the package's cold import
 
     val, _ = quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=400,
                   points=[math.sqrt(max(gamma, 0.0))])

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
-from ._util import blocked_map, split_range
+from ._util import split_range
 from .arith import chi4, factorize, primes_up_to, sqrt_mod
 from .congruences import rho, rho_b, _crt_roots
 from .gaussian import gaussian_reps
@@ -221,9 +220,7 @@ def _an_array(x: int) -> np.ndarray:
     return np.bincount(allv, minlength=x + 1)
 
 
-def remainder_scan(
-    x: int, D: int, workers: int = 1
-) -> tuple[list[RemainderRow], dict]:
+def remainder_scan(x: int, D: int) -> tuple[list[RemainderRow], dict]:
     """Rows (d, A_d, M_d, g(d), r_d) for every cubefree d <= D, plus a
     summary with sum |r_d| and its ratio against D^(1/4) x^(9/16)."""
     if x < 1 or D < 1:
@@ -246,11 +243,7 @@ def remainder_scan(
         rd = Fraction(Ad) - gd * Ax
         return RemainderRow(d=d, A_d=Ad, M_d=M_d(x, d), g_d=gd, r_d=float(rd))
 
-    ds = [d for d in range(1, D + 1) if cubefree[d]]
-    rows = blocked_map(lambda block: [row(d) for d in block],
-                       [ds[i : i + 64] for i in range(0, len(ds), 64)],
-                       workers)
-    rows = [r for block in rows for r in block]
+    rows = [row(d) for d in range(1, D + 1) if cubefree[d]]
     total = math.fsum(abs(r.r_d) for r in rows)
     summary = {
         "x": x,
@@ -266,6 +259,8 @@ def remainder_scan(
 def kappa() -> float:
     """Quadrature value of int_0^1 sqrt(1 - t^4) dt (substitution t = sin u
     removes the endpoint cusp)."""
+    from scipy.integrate import quad  # deferred: most of the package's cold import
+
     val, err = quad(
         lambda u: math.cos(u) ** 2 * math.sqrt(1.0 + math.sin(u) ** 2),
         0.0,
@@ -389,7 +384,7 @@ def _lambda_block(
     return obs, pairs
 
 
-def theorem1_experiment(x: int, workers: int = 1) -> ExperimentReport:
+def theorem1_experiment(x: int) -> ExperimentReport:
     """Observed sum of Lambda(a^2 + b^4) over positive a, b (pairs counted
     with multiplicity, prime powers included) against (4/pi) kappa x^(3/4).
 
@@ -407,10 +402,10 @@ def theorem1_experiment(x: int, workers: int = 1) -> ExperimentReport:
     bmax = 1
     while (bmax + 1) ** 4 <= x:
         bmax += 1
-    # The block size must not depend on workers: observed is summed per block.
-    blocks = split_range(1, bmax + 1, bmax // 8 + 1)
-    parts = blocked_map(lambda blk: _lambda_block(x, blk[0], blk[1], root_sieve, pp, pp_logs),
-                        blocks, workers)
+    # Each block of b-lines sums its own lines, then fsum adds the blocks:
+    # this order fixes the last digits of observed.
+    parts = [_lambda_block(x, lo, hi, root_sieve, pp, pp_logs)
+             for lo, hi in split_range(1, bmax + 1, bmax // 8 + 1)]
     observed = math.fsum(p[0] for p in parts)
     pairs = sum(p[1] for p in parts)
     predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75

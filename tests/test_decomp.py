@@ -1,5 +1,7 @@
 """Separation-divisor decomposition and Vaughan's identity."""
 
+import bisect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +28,13 @@ def test_kth_root():
         for k in (1, 2, 3, 4, 9):
             t = kth_root(x, k)
             assert t**k <= x < (t + 1) ** k
+
+
+def test_kth_root_matches_brute_force():
+    for k in range(1, 20):
+        powers = list(itertools.takewhile(lambda p: p < 5000, (t**k for t in itertools.count())))
+        for x in range(5000):
+            assert kth_root(x, k) == bisect.bisect_right(powers, x) - 1, (x, k)
 
 
 def test_separate_examples():

@@ -113,8 +113,8 @@ def test_spin_sum_hand_case():
     assert abs(s) <= (10**5) ** 0.75
 
 
-def test_spin_sum_workers_deterministic():
-    assert spin_sum(10**5, workers=1) == spin_sum(10**5, workers=4)
+def test_spin_sum_pinned():
+    assert spin_sum(10**5) == (295, 4783)
 
 
 def test_lambda_prime_sum_matches_direct():

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -87,6 +88,7 @@ def test_cli_usage_errors_exit_2():
         ("lattice", "--cases", "0"),
         ("lattice", "--cases", "-3"),
         ("decomp", "--cases", "0"),
+        ("decomp", "--x", "1000001"),
         ("spin", "--x", "100", "--threads", "-3"),
         ("theorem1", "--x", "100", "--threads", "-3"),
     ):
@@ -127,6 +129,31 @@ def test_cli_decomp_and_lattice_exit_0():
     assert code == 0
     code, out, _ = run_cli("lattice", "--m", "100", "--bound", "60", "--cases", "3")
     assert code == 0
+
+
+def test_cli_decomp_huge_r_runs_in_bounded_memory():
+    # kth_root(x, r^2) once built 2^(r^2): gigabytes and minutes for this call
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinsieve", "decomp", "--x", "3", "--r", "1000000000000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "trial,r,lhs,rhs,equal"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spinsieve.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_cli_reports_byte_identical_across_threads():
