@@ -189,10 +189,14 @@ def factorize(n: int) -> Factorization:
     for p in _small_primes():
         p = int(p)
         if p * p > m:
+            if m > 1:
+                fac[m] = 1  # no prime up to sqrt(m) divides m, so m is prime
+            m = 1
             break
         while m % p == 0:
             fac[p] = fac.get(p, 0) + 1
             m //= p
+    # only a cofactor past the last trial prime needs a primality proof
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
@@ -313,19 +317,6 @@ def chi4(n: int) -> int:
     return 0
 
 
-def _prime_power_split(pk: int) -> tuple[int, int]:
-    if pk < 2:
-        raise ValueError("not a prime power")
-    if is_prime(pk):
-        return pk, 1
-    for e in range(2, pk.bit_length() + 1):
-        p = round(pk ** (1.0 / e))
-        for q in (p - 1, p, p + 1):
-            if q >= 2 and q**e == pk and is_prime(q):
-                return q, e
-    raise ValueError("not a prime power")
-
-
 def _tonelli_shanks(a: int, p: int) -> int | None:
     # One square root of a mod odd prime p, or None; a coprime to p.
     if jacobi(a, p) != 1:
@@ -383,13 +374,16 @@ def _sqrt_mod_coprime(a: int, p: int, e: int) -> list[int]:
     return sorted({r % pk, (-r) % pk, (r + (pk >> 1)) % pk, (-r + (pk >> 1)) % pk})
 
 
-def sqrt_mod(a: int, pk: int) -> list[int]:
-    """All x mod pk with x^2 = a (mod pk), for pk = p^e a prime power.
+def sqrt_mod(a: int, p: int, e: int = 1) -> list[int]:
+    """All x mod p^e with x^2 = a (mod p^e), for p prime and e >= 1.
 
     Complete and sorted; empty when there is no solution.  Non-coprime a is
-    handled by peeling the p-adic valuation of a.
+    handled by peeling the p-adic valuation of a.  p must be prime and is not
+    tested: callers pass the prime they hold from factorize or a sieve.
     """
-    p, e = _prime_power_split(pk)
+    if p < 2 or e < 1:
+        raise ValueError("sqrt_mod requires a prime p >= 2 and e >= 1")
+    pk = p**e
     a %= pk
     if a == 0:
         step = p ** ((e + 1) // 2)

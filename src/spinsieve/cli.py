@@ -293,6 +293,8 @@ def main(argv=None) -> int:
                 parser.error("--x must be in [1, 1e9]")
             report = cmd_spin(x, args.checkpoints, args.timing)
         elif args.command == "identities":
+            if args.bound > 10**4:
+                parser.error("--bound must be at most 1e4")
             report = cmd_identities(
                 args.suite, args.bound or None, args.cases, args.seed
             )
@@ -326,8 +328,11 @@ def main(argv=None) -> int:
     if report.command == "lattice" and report.summary["exact_equal"] != report.summary["pairs"]:
         violations += 1
     # a violation outranks the usage error of a suite that checked nothing
+    # or a lattice run that compared only empty counts
     if not violations and (
-        not report.rows or any(row.get("cases") == 0 for row in report.rows)
+        not report.rows
+        or any(row.get("cases") == 0 for row in report.rows)
+        or report.command == "lattice" and all(row["c_direct"] == 0 for row in report.rows)
     ):
         parser.error(f"{args.command}: these arguments leave nothing to report or check")
 

@@ -87,11 +87,10 @@ def _roots_neg_square(ell: int, d: int) -> list[int]:
         return [0]
     parts = []
     for p, e in factorize(d).factors:
-        pk = p**e
-        sols = sqrt_mod(-ell * ell, pk)
+        sols = sqrt_mod(-ell * ell, p, e)
         if not sols:
             return []
-        parts.append((pk, sols))
+        parts.append((p**e, sols))
     return _crt_roots(parts)
 
 
@@ -102,38 +101,37 @@ def roots_minus_one(d: int) -> RootSet:
     return RootSet(d, tuple(_roots_neg_square(1, d)))
 
 
+def _rho_prime_power(p: int, a: int) -> int:
+    # rho(p^a) for p prime: the one home of the local rule of rho
+    if a == 0:
+        return 1
+    if p == 2:
+        return 1 if a == 1 else 0
+    return 1 + chi4(p)
+
+
 def rho(d: int) -> int:
     """Number of roots of nu^2 + 1 mod d: multiplicative, rho(p^a) = 1 + chi4(p)
     except rho(2^a) = 0 for a >= 2."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    return rho_b(1, d)
+
+
+def rho_b(b: int, d: int | Factorization) -> int:
+    """#{alpha mod d : alpha^2 + b^2 = 0 (mod d)} = (b, d2) rho(d/(b^2, d)),
+    d = d1 d2^2 with d1 squarefree, read prime by prime from one
+    factorization of d, which the caller may pass in place of d."""
+    f = d if isinstance(d, Factorization) else factorize(d)
     out = 1
-    for p, e in factorize(d).factors:
-        if p == 2:
-            if e >= 2:
-                return 0
-        else:
-            out *= 1 + chi4(p)
-            if out == 0:
-                return 0
+    for p, e in f.factors:
+        k, bb = 0, b * b  # p^k is the p-part of (b^2, d)
+        while k < e and bb % p == 0:
+            bb //= p
+            k += 1
+        # the p-part of (b, d2) is p^(k // 2), that of d/(b^2, d) is p^(e - k)
+        out *= p ** (k // 2) * _rho_prime_power(p, e - k)
+        if out == 0:
+            return 0
     return out
-
-
-def _square_part(d: int) -> int:
-    # d2 with d = d1 d2^2, d1 squarefree.
-    d2 = 1
-    for p, e in factorize(d).factors:
-        d2 *= p ** (e // 2)
-    return d2
-
-
-def rho_b(b: int, d: int) -> int:
-    """#{alpha mod d : alpha^2 + b^2 = 0 (mod d)} = (b, d2) rho(d/(b^2, d))."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    d2 = _square_part(d)
-    g = math.gcd(b * b, d)
-    return math.gcd(b, d2) * rho(d // g)
 
 
 def rho_exp(k: int, ell: int, d: int) -> complex:
@@ -173,7 +171,7 @@ def n_sqrt(a: int, b: int) -> int:
         raise ValueError("b must be positive")
     count = 1
     for p, e in factorize(b).factors:
-        count *= len(sqrt_mod(a, p**e))
+        count *= len(sqrt_mod(a, p, e))
         if count == 0:
             return 0
     return count

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import split_range
 from .arith import chi4, factorize, primes_up_to, sqrt_mod
-from .congruences import rho, rho_b, _crt_roots
+from .congruences import rho_b, _crt_roots, _rho_prime_power
 from .gaussian import gaussian_reps
 
 __all__ = [
@@ -128,19 +128,19 @@ def A_d(x: int, d: int) -> int:
         raise ValueError("x and d must be positive")
     if d == 1:
         return A(x)
-    parts = [(p**e, p**e) for p, e in factorize(d).factors]
+    factors = factorize(d).factors
     total = 0
     c = 0
     while c**4 <= x:
         L = math.isqrt(x - c**4)
         comps = []
         ok = True
-        for pk, _ in parts:
-            sols = sqrt_mod(-(c**4), pk)
+        for p, e in factors:
+            sols = sqrt_mod(-(c**4), p, e)
             if not sols:
                 ok = False
                 break
-            comps.append((pk, sols))
+            comps.append((p**e, sols))
         if ok:
             w = 1 if c == 0 else 2
             for alpha in _crt_roots(comps):
@@ -159,45 +159,45 @@ def M_d(x: int, d: int) -> float:
 def M_d_exact(x: int, d: int) -> Fraction:
     if x < 1 or d < 1:
         raise ValueError("x and d must be positive")
-    total = rho_b(0, d) * 2 * math.isqrt(x)  # b = 0 line, a != 0
+    f = factorize(d)
+    total = rho_b(0, f) * 2 * math.isqrt(x)  # b = 0 line, a != 0
     c = 1
     while c**4 <= x:
-        total += 2 * rho_b(c * c, d) * (2 * math.isqrt(x - c**4) + 1)
+        total += 2 * rho_b(c * c, f) * (2 * math.isqrt(x - c**4) + 1)
         c += 1
     return Fraction(total, d)
-
-
-def _cubefree(d: int) -> bool:
-    return all(e <= 2 for _, e in factorize(d).factors)
 
 
 def g(d: int) -> Fraction:
     """Density of the sieve: multiplicative on cubefree d, with
     g(p) p = 1 + chi4(p)(1 - 1/p), g(p^2) p^2 = 1 + rho(p)(1 - 1/p),
     except g(4) = 1/4."""
-    if d < 1 or not _cubefree(d):
+    factors = factorize(d).factors if d >= 1 else ()
+    if d < 1 or any(e > 2 for _, e in factors):
         raise ValueError("g is defined on cubefree d")
     out = Fraction(1)
-    for p, e in factorize(d).factors:
+    for p, e in factors:
         if p == 2 and e == 2:
             out *= Fraction(1, 4)
         elif e == 1:
             out *= (1 + Fraction(chi4(p)) * (1 - Fraction(1, p))) / p
         else:
-            out *= (1 + rho(p) * (1 - Fraction(1, p))) / p**2
+            out *= (1 + _rho_prime_power(p, 1) * (1 - Fraction(1, p))) / p**2
     return out
 
 
 def h(d: int) -> Fraction:
     """Error-weight companion: h(p) p = 1 + 2 rho(p), h(p^2) p^2 = p + 2 rho(p)."""
-    if d < 1 or not _cubefree(d):
+    factors = factorize(d).factors if d >= 1 else ()
+    if d < 1 or any(e > 2 for _, e in factors):
         raise ValueError("h is defined on cubefree d")
     out = Fraction(1)
-    for p, e in factorize(d).factors:
+    for p, e in factors:
+        rho_p = _rho_prime_power(p, 1)
         if e == 1:
-            out *= Fraction(1 + 2 * rho(p), p)
+            out *= Fraction(1 + 2 * rho_p, p)
         else:
-            out *= Fraction(p + 2 * rho(p), p * p)
+            out *= Fraction(p + 2 * rho_p, p * p)
     return out
 
 

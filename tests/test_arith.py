@@ -40,6 +40,33 @@ def test_factorize_roundtrip_exhaustive():
         assert prod == n
 
 
+def test_factorize_trusts_trial_division(monkeypatch):
+    # a cofactor below the square of the next trial prime is prime without a
+    # primality test; below 2e5 trial division always ends that way
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(ar, "is_prime", refuse)
+    for n in range(1, 2 * 10**5 + 1):
+        prod = 1
+        for p, e in ar.factorize(n).factors:
+            prod *= p**e
+        assert prod == n, n
+
+
+def test_factorize_cofactor_at_end_of_trial_primes():
+    # 99991 is the last trial prime and 100003 the first prime past it
+    for n, want in (
+        (2 * 100003, ((2, 1), (100003, 1))),
+        (99991**2, ((99991, 2),)),
+        (99991 * 100003, ((99991, 1), (100003, 1))),
+        (100003**2, ((100003, 2),)),
+    ):
+        f = ar.factorize(n)
+        assert f.factors == want, n
+        assert all(ar.is_prime(p) for p, _ in f.factors)
+
+
 def test_factorize_random_63bit():
     rng = random.Random(0)
     for _ in range(10**4):
@@ -146,23 +173,30 @@ def test_chi4():
 
 
 def test_sqrt_mod_examples():
-    assert ar.sqrt_mod(-1, 25) == [7, 18]
-    assert ar.sqrt_mod(9, 25) == [3, 22]
+    assert ar.sqrt_mod(-1, 5, 2) == [7, 18]
+    assert ar.sqrt_mod(9, 5, 2) == [3, 22]
     assert ar.sqrt_mod(2, 3) == []
+    assert ar.sqrt_mod(-1, 5) == ar.sqrt_mod(-1, 5, 1) == [2, 3]
+    for p, e in ((1, 1), (0, 3), (5, 0), (-3, 1)):
+        with pytest.raises(ValueError):
+            ar.sqrt_mod(1, p, e)
 
 
 def test_sqrt_mod_exhaustive():
     # complete agreement with a direct scan for every prime power <= 1e4
-    for pk in range(2, 10**4 + 1):
-        try:
-            p, e = ar._prime_power_split(pk)
-        except ValueError:
-            continue
-        table = {}
-        for x in range(pk):
-            table.setdefault(x * x % pk, []).append(x)
-        for a in range(pk):
-            assert ar.sqrt_mod(a, pk) == table.get(a, []), (a, pk)
+    powers = 0
+    for p in ar.primes_up_to(10**4).tolist():
+        e = 1
+        while p**e <= 10**4:
+            pk = p**e
+            table = {}
+            for x in range(pk):
+                table.setdefault(x * x % pk, []).append(x)
+            for a in range(pk):
+                assert ar.sqrt_mod(a, p, e) == table.get(a, []), (a, p, e)
+            powers += 1
+            e += 1
+    assert powers == 1280
 
 
 def test_divisor_witness():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinsieve.arith import tau
+from spinsieve.arith import factorize, tau
 from spinsieve.congruences import (
     G0_brute,
     G0_formula,
@@ -50,8 +50,10 @@ def test_rho_examples():
 def test_rho_b_formula_vs_brute_exhaustive():
     for d in range(1, 2001):
         counts = np.bincount((np.arange(d, dtype=np.int64) ** 2) % d, minlength=d)
+        f = factorize(d)
         for b in range(d):
-            assert rho_b(b, d) == int(counts[(-b * b) % d]), (b, d)
+            want = int(counts[(-b * b) % d])
+            assert rho_b(b, d) == want and rho_b(b, f) == want, (b, d)
 
 
 def test_rho_b_examples():
@@ -83,8 +85,6 @@ def test_rho_exp_reduction_exhaustive():
             direct = np.fft.fft(ind).conj()  # index k: sum e(+nu k/d)
             g = math.gcd(d, ell * ell)
             gamma = delta_ = 1
-            from spinsieve.arith import factorize
-
             for p, e in factorize(g).factors:
                 gamma *= p ** (e % 2)
                 delta_ *= p ** (e // 2)
@@ -232,7 +232,6 @@ def test_G0_spot_and_local_product():
     assert G0_brute(z1, z2) == Fraction(5)
     assert G0_formula(z1, z2) == Fraction(5)
     # local-density product route agrees
-    from spinsieve.arith import factorize
     from spinsieve.gaussian import rational_residue
 
     for za, zb in ((G(1, 4), G(9, 4)), (G(-3, 2), G(5, 2)), (G(1, 2), G(9, 2))):

@@ -83,6 +83,8 @@ def test_cli_usage_errors_exit_2():
         ("theorem1", "--x", "100", "--checkpoints", "0"),
         ("identities", "--bound", "3"),
         ("identities", "--suite", "all", "--bound", "1"),
+        ("identities", "--bound", "10001"),
+        ("lattice", "--m", "0.5"),
         ("lattice", "--bound", "0"),
         ("lattice", "--bound", "1"),
         ("lattice", "--cases", "0"),

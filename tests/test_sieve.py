@@ -75,6 +75,21 @@ def test_M_d_uses_even_restriction_mod_4():
     assert sv.M_d(x, 4) == total / 4
 
 
+def test_M_d_exact_counts_roots_by_scan():
+    # d M_d(x) = sum over (a, c) != (0, 0) with a^2 + c^4 <= x of
+    # #{alpha mod d : alpha^2 + c^4 = 0 (mod d)}, alpha found by a scan
+    for x in (1, 2, 17, 1000, 4097):
+        cmax = math.isqrt(math.isqrt(x))
+        for d in range(1, 121):
+            total = 0
+            for c in range(-cmax, cmax + 1):
+                c4 = c**4
+                roots = sum(1 for alpha in range(d) if (alpha * alpha + c4) % d == 0)
+                L = math.isqrt(x - c4)
+                total += roots * sum(1 for a in range(-L, L + 1) if (a, c) != (0, 0))
+            assert d * sv.M_d_exact(x, d) == total, (x, d)
+
+
 def test_remainder_scan():
     rows, summary = sv.remainder_scan(10**4, 100)
     assert rows[0].d == 1 and rows[0].r_d == 0.0
