@@ -8,6 +8,7 @@ far below the sqrt-scale trivial envelope pi(x)/2.
 """
 
 from spinsieve.arith import prime_range
+from spinsieve.eigen import spin_walk
 from spinsieve.symbols import spin
 
 print("first spins:")
@@ -22,17 +23,9 @@ for p in prime_range(2, 250):
 
 print()
 print("x         sum of spins   primes counted   |sum|/x^0.75")
-total = count = 0
-checkpoints = [10**4, 10**5, 10**6]
-lo = 2
-for hi in checkpoints:
-    for p in prime_range(lo, hi + 1):
-        p = int(p)
-        if p % 4 == 1:
-            total += spin(p)
-            count += 1
-    lo = hi + 1
-    print(f"{hi:<9,} {total:>12,} {count:>16,} {abs(total) / hi**0.75:>13.4f}")
+# one sweep of the segmented sieve, read at each checkpoint
+for x, total, count in spin_walk([10**4, 10**5, 10**6]):
+    print(f"{x:<9,} {total:>12,} {count:>16,} {abs(total) / x**0.75:>13.4f}")
 
 print()
 print("the exponent-conjecture scale is x^(1/2 + eps); even the crude")

@@ -2,7 +2,10 @@
 
 Factorization, the classical multiplicative functions, Jacobi symbols with
 the sign and even-modulus conventions used throughout this package, Hilbert
-symbols at infinity, and complete modular square roots.
+symbols at infinity, and complete modular square roots.  Two array kernels,
+``jacobi_vec`` and ``sqrt_neg_one_vec``, run the Jacobi symbol and the root
+of -1 over whole int64 arrays; the scalar ``jacobi`` and ``sqrt_mod`` are
+their oracles.
 
 Everything is deterministic and exact.  Primality testing uses fixed
 Miller-Rabin witness sets that are proven complete for all n < 2^64, so no
@@ -29,10 +32,12 @@ __all__ = [
     "tau_k",
     "von_mangoldt",
     "jacobi",
+    "jacobi_vec",
     "jacobi_extended",
     "hilbert_infinity",
     "chi4",
     "sqrt_mod",
+    "sqrt_neg_one_vec",
     "divisor_witness",
 ]
 
@@ -45,6 +50,9 @@ _MR_TIERS = (
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
+
+# Largest modulus whose residues multiply exactly in int64: m * m < 2^63.
+INT64_MOD_MAX = math.isqrt((1 << 63) - 1)
 
 _small_prime_cache: np.ndarray | None = None
 
@@ -75,15 +83,13 @@ def prime_range(lo: int, hi: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     base = primes_up_to(math.isqrt(hi - 1))
     seg = np.ones(hi - lo, dtype=bool)
-    if lo <= 1:
-        seg[: 2 - lo] = False
-    for p in base:
-        p = int(p)
+    for p in base.tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             seg[start - lo :: p] = False
-    out = np.nonzero(seg)[0] + lo
-    return out[out >= 2].astype(np.int64)
+    out = np.flatnonzero(seg)
+    out += lo
+    return out
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -284,6 +290,38 @@ def jacobi(a: int, m: int) -> int:
     return result if m == 1 else 0
 
 
+def jacobi_vec(a, m) -> np.ndarray:
+    """Jacobi symbols (a/m) elementwise over int64 arrays, with the
+    conventions of jacobi: odd m >= 1, (a/1) = 1, 0 iff gcd(a, m) > 1.
+
+    The reciprocity loop of jacobi runs over the whole array at once; an
+    entry leaves the working set when its upper entry reaches 0.
+    """
+    a, m = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(m, dtype=np.int64))
+    shape = a.shape
+    a, m = a.ravel(), m.ravel()
+    if np.any((m <= 0) | (m % 2 == 0)):
+        raise ValueError("invalid modulus")
+    a = a % m
+    out = (m == 1).astype(np.int8)
+    live = np.flatnonzero(a)
+    a, m = a[live], m[live]
+    neg = np.zeros(live.size, dtype=bool)
+    while live.size:
+        t = np.bitwise_count((a & -a) - 1)  # a = 2^t * odd
+        a >>= t
+        m8 = m & 7
+        neg ^= (t & 1).astype(bool) & ((m8 == 3) | (m8 == 5))
+        neg ^= (a & 3 == 3) & (m & 3 == 3)
+        a, m = m % a, a
+        done = a == 0
+        if done.any():
+            out[live[done]] = np.where(m[done] == 1, np.where(neg[done], -1, 1), 0)
+            keep = ~done
+            live, a, m, neg = live[keep], a[keep], m[keep], neg[keep]
+    return out.reshape(shape)
+
+
 def jacobi_extended(a: int, d: int) -> int:
     """Jacobi symbol extended to even lower entries via the odd part of |d|.
 
@@ -406,6 +444,58 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> list[int]:
         for j in range(p**half):
             out.add(p**half * ((y0 + j * step) % mod_y) % pk)
     return sorted(out)
+
+
+def _pow_mod_vec(c: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # c^e mod m elementwise by square-and-multiply over the bits of e;
+    # every m <= INT64_MOD_MAX, so each product of residues is exact.
+    out = np.ones_like(m)
+    base = c % m
+    e = e.copy()
+    while e.any():
+        odd = (e & 1).astype(bool)
+        out = np.where(odd, out * base % m, out)
+        base = base * base % m
+        e >>= 1
+    return out
+
+
+def sqrt_neg_one_vec(p) -> np.ndarray:
+    """For each prime p = 1 (mod 4), 5 <= p <= INT64_MOD_MAX, of an int64
+    array, the least nu > 0 with nu^2 = -1 (mod p): sqrt_mod(-1, p)[0].
+
+    nu = c^((p-1)/4) for the least prime non-residue c of p, by Euler's
+    criterion.  c is read off p without a power: (2/p) = -1 iff p = 5
+    (mod 8), and (c/p) = (p/c) for odd c by reciprocity, since p = 1
+    (mod 4).  So one modular power per entry suffices.  Entries are trusted
+    to be prime, as a sieve delivers them; an entry that shows otherwise
+    (no c with c(c-1) < p, or nu^2 other than -1) raises ValueError, and
+    so does any p above INT64_MOD_MAX, whose products would overflow int64.
+    """
+    try:
+        p = np.asarray(p, dtype=np.int64).ravel()
+    except OverflowError as exc:
+        raise ValueError(f"sqrt_neg_one_vec requires p <= {INT64_MOD_MAX}") from exc
+    if p.size and int(p.max()) > INT64_MOD_MAX:
+        raise ValueError(f"sqrt_neg_one_vec requires p <= {INT64_MOD_MAX}")
+    if np.any((p % 4 != 1) | (p < 5)):
+        raise ValueError("sqrt_neg_one_vec requires primes p = 1 (mod 4)")
+    c = np.where(p & 7 == 5, 2, 0)
+    live = np.flatnonzero(c == 0)
+    # the least non-residue n of a prime p has n(n - 1) < p, so n <= isqrt(p) + 1
+    n_max = math.isqrt(int(p.max())) + 1 if p.size else 0
+    for q in primes_up_to(n_max)[1:].tolist():
+        if not live.size:
+            break
+        square = np.zeros(q, dtype=bool)
+        square[np.arange(q) ** 2 % q] = True
+        nonres = ~square[p[live] % q]
+        c[live[nonres]] = q
+        live = live[~nonres]
+    nu = _pow_mod_vec(c, (p - 1) >> 2, p)
+    if live.size or np.any(nu * nu % p != p - 1):
+        raise ValueError("sqrt_neg_one_vec requires prime moduli")
+    return np.minimum(nu, p - nu)
 
 
 def divisor_witness(n: int, k: int) -> int:

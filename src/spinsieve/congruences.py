@@ -27,8 +27,6 @@ import numpy as np
 from .arith import (
     Factorization,
     chi4,
-    divisors,
-    euler_phi,
     factorize,
     jacobi,
     jacobi_extended,
@@ -191,16 +189,24 @@ def N_brute(a: int, q: int) -> int:
     return int(cnt[(a % q) * ((g * g) % q) % q].sum())
 
 
+def _divisors_phi(f: Factorization) -> list[tuple[int, int]]:
+    # (d, phi(d)) for every divisor d of f.n, read off its one factorization
+    divs = [(1, 1)]
+    for p, e in f.factors:
+        pk, phis = 1, [1]
+        for _ in range(e):
+            phis.append((p - 1) * pk)
+            pk *= p
+        divs = [(d * p**k, ph * phis[k]) for d, ph in divs for k in range(e + 1)]
+    return divs
+
+
 def N_formula(a: int, q: int) -> int:
     """Closed form N(a; q) = q sum_{d|q} phi(d)/d (a/d) for q odd, (a, q) = 1."""
     if q < 1 or q % 2 == 0 or math.gcd(a, q) != 1:
         raise ValueError("outside the closed form's domain: need q odd, (a, q) = 1")
-    total = Fraction(0)
-    for d in divisors(q):
-        total += Fraction(euler_phi(d), d) * jacobi(a % d, d)
-    total *= q
-    assert total.denominator == 1
-    return int(total)
+    # q phi(d)/d = (q/d) phi(d) is an integer for every d | q
+    return sum((q // d) * ph * jacobi(a % d, d) for d, ph in _divisors_phi(factorize(q)))
 
 
 def N_local(a: int, p: int, nu: int) -> Fraction:
@@ -315,20 +321,9 @@ def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     while qodd % 2 == 0:
         qodd //= 2
     T = rational_residue(z1, z2, qodd) if qodd > 1 else 1
-    # divisors of base with phi and odd part carried along
-    divs = [(1, 1, 1)]  # (d, phi(d), odd part of d)
-    for p, e in factorize(base).factors:
-        pk, phis = 1, [1]
-        for _ in range(e):
-            phis.append((p - 1) * pk)
-            pk *= p
-        divs = [
-            (d * p**k, ph * phis[k], dodd if p == 2 else dodd * p**k)
-            for d, ph, dodd in divs
-            for k in range(e + 1)
-        ]
     num = 0  # running sum of (base/d) phi(d) (z2/z1 / d)
-    for d, ph, dodd in divs:
+    for d, ph in _divisors_phi(factorize(base)):
+        dodd = d // (d & -d)
         t = T % dodd if dodd > 1 else 1
         if t % 2 == 0:
             t += dodd  # odd representative of the same class mod dodd

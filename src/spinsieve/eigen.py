@@ -8,7 +8,8 @@ optional primary primitive twist w) the quadratic eigenvalue of n is
 with [z] the quartic Jacobi-Kubota symbol; lam0(n) strips the character
 and the i-power, summing (s/r) over representations n = r^2 + s^2 with
 r, s > 0 and r odd.  Restricted to primes this is the spin sum whose
-cancellation the desk-scale experiments measure.
+cancellation the desk-scale experiments measure; spin_walk computes it
+segment by segment with the array kernel symbols.spin_vec.
 
 Enumeration of primary z with a given norm goes through factorization,
 never through O(sqrt n) scans, so sums to 1e7 finish in minutes.
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from ._util import split_range
 from .arith import jacobi, prime_range
 from .gaussian import GaussianInt, is_primary, is_primitive, primary_reps
-from .symbols import dirichlet_symbol, jacobi_kubota, spin
+from .symbols import dirichlet_symbol, jacobi_kubota, spin_vec
 
 __all__ = [
     "HeckeCharacter",
@@ -33,6 +35,7 @@ __all__ = [
     "quad_lambda_coordinates",
     "lambda0",
     "spin_sum",
+    "spin_walk",
     "lambda_prime_sum",
     "linear_form",
 ]
@@ -128,26 +131,47 @@ def lambda0(n: int) -> int:
     return total
 
 
+def _spin_segment(x: int) -> int:
+    # Integers per segment of a sweep to x.  Each segment pays a Python step
+    # per sieving prime <= sqrt(x) and about 1.5 ms of numpy calls in the
+    # kernels, so segments grow with sqrt(x); at x = 1e7 this size keeps
+    # that cost small and the working set within the interpreter's own.
+    return max(1 << 16, 128 * math.isqrt(x))
+
+
 def _spin_block(lo: int, hi: int) -> tuple[int, int]:
-    total = 0
-    count = 0
-    for p in prime_range(lo, hi):
-        p = int(p)
-        if p % 4 == 1:
-            total += spin(p)
-            count += 1
-    return total, count
+    ps = prime_range(lo, hi)
+    ps = ps[ps % 4 == 1]
+    return int(spin_vec(ps).sum()), int(ps.size)
+
+
+def spin_walk(xs: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(x, sum of spins, count) over primes p = 1 (mod 4), p <= x, at each
+    checkpoint x of the ascending xs, from one sweep of a segmented sieve;
+    each triple is yielded as soon as the sweep reaches its x."""
+    xs = list(xs)
+    if any(b < a for a, b in zip(xs, xs[1:])):
+        raise ValueError("checkpoints must ascend")
+    if xs and xs[-1] > 10**9:
+        raise ValueError("x capped at 1e9")
+    total = count = 0
+    lo = 2
+    seg = _spin_segment(xs[-1]) if xs else 0
+    for x in xs:
+        while lo <= x:
+            hi = min(lo + seg, x + 1)
+            t, c = _spin_block(lo, hi)
+            total += t
+            count += c
+            lo = hi
+        yield x, total, count
 
 
 def spin_sum(x: int) -> tuple[int, int]:
-    """(sum of spins, count) over primes p = 1 (mod 4), p <= x, streamed
-    from a segmented sieve in segments that bound its memory."""
-    if x < 2:
-        return 0, 0
-    if x > 10**9:
-        raise ValueError("x capped at 1e9")
-    parts = [_spin_block(lo, hi) for lo, hi in split_range(2, x + 1, max(1 << 16, x // 16 + 1))]
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+    """(sum of spins, count) over primes p = 1 (mod 4), p <= x: the
+    one-checkpoint spin_walk."""
+    ((_, total, count),) = spin_walk([x])
+    return total, count
 
 
 def lambda_prime_sum(x: int, c: int = 1, psi: HeckeCharacter = TRIVIAL) -> complex:

@@ -1,7 +1,8 @@
 """Exact arithmetic in Z[i].
 
 Norms, conjugation, primary normalization, primitivity, Gaussian gcd and
-factorization, two-squares representations of primes, the determinant
+factorization, two-squares representations of primes (one at a time, or
+over a whole int64 array of sieved primes), the determinant
 Delta(z1, z2) = Im conj(z1) z2, and rational residues z2/z1 mod m.
 
 A Gaussian integer z = r + is is *odd* when its norm is odd, *primitive*
@@ -16,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, sqrt_mod
+import numpy as np
+
+from .arith import factorize, is_prime, sqrt_mod, sqrt_neg_one_vec
 
 __all__ = [
     "GaussianInt",
@@ -31,6 +34,7 @@ __all__ = [
     "ggcd",
     "gaussian_factorize",
     "two_squares",
+    "two_squares_vec",
     "delta",
     "rational_residue",
     "gaussian_reps",
@@ -163,6 +167,42 @@ def two_squares(p: int) -> tuple[int, int]:
     if r % 2 == 0:
         r, s = s, r
     return r, s
+
+
+def _isqrt_vec(n: np.ndarray) -> np.ndarray:
+    # floor(sqrt(n)) for 0 <= n < 2^53: the float root is off by at most one
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def two_squares_vec(p) -> tuple[np.ndarray, np.ndarray]:
+    """two_squares(p) for every entry of an int64 array of primes p = 1
+    (mod 4), as arrays (r, s): r^2 + s^2 = p, r odd, r, s > 0.
+
+    Cornacchia's Euclid from nu = sqrt_neg_one_vec(p) runs over the whole
+    array, an entry leaving the working set once its remainder is at most
+    sqrt(p).  Entries are trusted prime, as a sieve delivers them; p above
+    arith.INT64_MOD_MAX raises ValueError.
+    """
+    nu = sqrt_neg_one_vec(p)
+    p = np.asarray(p, dtype=np.int64).ravel()
+    bound = _isqrt_vec(p)
+    r = nu.copy()
+    live = np.flatnonzero(r > bound)
+    a, b = p[live], r[live]
+    while live.size:
+        a, b = b, a % b
+        done = b <= bound[live]
+        r[live[done]] = b[done]
+        keep = ~done
+        live, a, b = live[keep], a[keep], b[keep]
+    s = _isqrt_vec(p - r * r)
+    if np.any(r * r + s * s != p):
+        raise ValueError("two_squares_vec requires primes p = 1 (mod 4)")
+    odd = (r & 1).astype(bool)
+    return np.where(odd, r, s), np.where(odd, s, r)
 
 
 def gaussian_reps(n: int) -> list[GaussianInt]:

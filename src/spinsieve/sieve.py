@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import split_range
-from .arith import chi4, factorize, primes_up_to, sqrt_mod
+from .arith import chi4, factorize, primes_up_to, sqrt_mod, sqrt_neg_one_vec
 from .congruences import rho_b, _crt_roots, _rho_prime_power
 from .gaussian import gaussian_reps
 
@@ -328,7 +328,7 @@ class _RootSieve:
         self.table = np.zeros(self.root + 1, dtype=bool)
         self.table[primes] = True
         self.split = primes[primes % 4 == 1]
-        self.nu = np.array([sqrt_mod(-1, int(p))[0] for p in self.split], dtype=np.int64)
+        self.nu = sqrt_neg_one_vec(self.split)
         self.inert = primes[primes % 4 == 3]
 
     def line(self, b: int, amax: int) -> np.ndarray:

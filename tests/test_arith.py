@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spinsieve import arith as ar
@@ -197,6 +198,72 @@ def test_sqrt_mod_exhaustive():
             powers += 1
             e += 1
     assert powers == 1280
+
+
+def test_prime_range_matches_primes_up_to():
+    table = ar.primes_up_to(3000).tolist()
+    for lo in (-5, 0, 1, 2, 3, 4, 97, 1000, 2999):
+        for hi in (lo - 1, lo, lo + 1, 2, 3, 100, 101, 3001):
+            want = [p for p in table if lo <= p < hi]
+            assert ar.prime_range(lo, hi).tolist() == want, (lo, hi)
+    assert ar.prime_range(10**9 - 100, 10**9).tolist() == [
+        n for n in range(10**9 - 100, 10**9) if ar.is_prime(n)
+    ]
+
+
+def _split_primes(lo, hi):
+    ps = ar.prime_range(lo, hi)
+    return ps[ps % 4 == 1]
+
+
+# every p = 1 (mod 4) up to 1e6, and every such p in [1e9 - 2e6, 1e9]
+SPLIT_LOW = (1, 10**6 + 1)
+SPLIT_HIGH = (10**9 - 2 * 10**6, 10**9 + 1)
+
+
+def test_jacobi_vec_matches_jacobi():
+    # every (a, m) with odd m <= 1500 and a in [-m, 2m]: zero, negative and
+    # non-coprime upper entries included
+    a = np.concatenate([np.arange(-m, 2 * m + 1) for m in range(1, 1500, 2)])
+    m = np.concatenate([np.full(3 * m + 1, m) for m in range(1, 1500, 2)])
+    got = ar.jacobi_vec(a, m)
+    assert got.shape == a.shape
+    assert got.tolist() == [ar.jacobi(x, y) for x, y in zip(a.tolist(), m.tolist())]
+    assert ar.jacobi_vec(np.array([[2, 3], [5, 6]]), 7).tolist() == [[1, -1], [-1, -1]]
+    assert ar.jacobi_vec([], []).size == 0
+    for bad in (0, -3, 4):
+        with pytest.raises(ValueError):
+            ar.jacobi_vec([1, 2], [3, bad])
+
+
+def test_sqrt_neg_one_vec_roots():
+    for (lo, hi), count in ((SPLIT_LOW, 39_175), (SPLIT_HIGH, 48_147)):
+        ps = _split_primes(lo, hi)
+        nu = ar.sqrt_neg_one_vec(ps)
+        assert ps.size == count
+        assert np.all(nu * nu % ps == ps - 1)
+        assert np.all((0 < nu) & (2 * nu < ps))  # the lesser of the two roots
+    ps = _split_primes(1, 10**5)
+    assert ar.sqrt_neg_one_vec(ps).tolist() == [ar.sqrt_mod(-1, p)[0] for p in ps.tolist()]
+    assert ar.sqrt_neg_one_vec(np.empty(0, dtype=np.int64)).size == 0
+
+
+def test_sqrt_neg_one_vec_guards():
+    # p^2 must fit in int64: the first p = 1 (mod 4) past the bound raises,
+    # and so does the largest prime p = 1 (mod 4) below 2^63
+    big = ar.INT64_MOD_MAX + 1
+    while big % 4 != 1 or not ar.is_prime(big):
+        big += 1
+    top = (1 << 63) - 1
+    while top % 4 != 1 or not ar.is_prime(top):
+        top -= 1
+    for p in (big, top, 1 << 64):
+        with pytest.raises(ValueError):
+            ar.sqrt_neg_one_vec([5, p])
+    assert ar.INT64_MOD_MAX**2 < 1 << 63 <= (ar.INT64_MOD_MAX + 1) ** 2
+    for p in (1, 3, 7, 21, 25, 65):  # not a prime p = 1 (mod 4)
+        with pytest.raises(ValueError):
+            ar.sqrt_neg_one_vec([13, p])
 
 
 def test_divisor_witness():

@@ -135,6 +135,25 @@ def test_N_examples():
         N_formula(5, 15)
 
 
+def test_N_formula_factorizes_once(monkeypatch):
+    from spinsieve import arith, congruences
+
+    calls = []
+    real = arith.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(congruences, "factorize", counted)
+    q = 3**6 * 5**2 * 7
+    got = N_formula(2, q)
+    assert calls == [q]
+    monkeypatch.undo()
+    assert got == N_brute(2, q)
+
+
 def test_N_local():
     assert N_local(1, 5, 1) == Fraction(9, 5)
     assert N_local(1, 2, 5) == 5

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from spinsieve.arith import primes_up_to, von_mangoldt
+from spinsieve import eigen
+from spinsieve.arith import prime_range, primes_up_to, von_mangoldt
 from spinsieve.eigen import (
     HeckeCharacter,
     TRIVIAL,
@@ -18,6 +19,7 @@ from spinsieve.eigen import (
     quad_lambda,
     quad_lambda_coordinates,
     spin_sum,
+    spin_walk,
 )
 from spinsieve.gaussian import GaussianInt as G
 from spinsieve.identities import primary_primitive
@@ -111,6 +113,35 @@ def test_spin_sum_hand_case():
     s, c = spin_sum(10**5)
     assert c == sum(1 for p in primes_up_to(10**5) if p % 4 == 1)
     assert abs(s) <= (10**5) ** 0.75
+
+
+def _scalar_spin_sum(lo, hi):
+    # (sum of spins, count) over primes p = 1 (mod 4) in [lo, hi), spin by spin
+    ps = [p for p in prime_range(lo, hi).tolist() if p % 4 == 1]
+    return sum(spin(p) for p in ps), len(ps)
+
+
+def test_spin_sum_small_x():
+    for x in (1, 2, 4, 5, 13):
+        assert spin_sum(x) == _scalar_spin_sum(2, x + 1), x
+    assert [spin_sum(x) for x in (1, 2, 4, 5, 13)] == [(0, 0), (0, 0), (0, 0), (1, 1), (0, 2)]
+    with pytest.raises(ValueError):
+        spin_sum(10**9 + 1)
+
+
+def test_spin_walk_equals_spin_sum_per_checkpoint():
+    # the one sweep reads the same prefix sums as a separate sweep per x,
+    # across segment boundaries and with repeated and tiny checkpoints
+    xs = [1, 5, 5, 13, 100, 10**4, 2 * 10**6 + 12345]
+    seg = eigen._spin_segment(xs[-1])
+    xs[-1:-1] = [seg - 1, seg, seg + 1, seg + 2]
+    walk = list(spin_walk(xs))
+    assert [w[0] for w in walk] == xs
+    assert [w[1:] for w in walk] == [spin_sum(x) for x in xs]
+    assert walk[-1][1:] == _scalar_spin_sum(2, xs[-1] + 1)
+    assert list(spin_walk([])) == []
+    with pytest.raises(ValueError):
+        list(spin_walk([100, 10]))
 
 
 def test_spin_sum_pinned():

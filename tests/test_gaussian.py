@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from spinsieve.arith import primes_up_to
+from spinsieve.arith import INT64_MOD_MAX, primes_up_to
 from spinsieve.gaussian import (
     GaussianInt as G,
     conj,
@@ -18,6 +19,7 @@ from spinsieve.gaussian import (
     primary_reps,
     rational_residue,
     two_squares,
+    two_squares_vec,
 )
 
 UNITS = (G(1, 0), G(0, 1), G(-1, 0), G(0, -1))
@@ -153,6 +155,20 @@ def test_primary_reps_against_brute():
         assert primary_reps(n) == sorted(
             z for z in gaussian_reps(n) if is_primary(z)
         )
+
+
+def test_two_squares_vec_matches_two_squares():
+    ps = primes_up_to(10**5)
+    ps = ps[ps % 4 == 1]
+    r, s = two_squares_vec(ps)
+    assert list(zip(r.tolist(), s.tolist())) == [two_squares(p) for p in ps.tolist()]
+    r, s = two_squares_vec(np.array([5, 13, 97, 999999937]))
+    assert r.tolist() == [1, 3, 9, 8929] and s.tolist() == [2, 2, 4, 30336]
+    assert 8929**2 + 30336**2 == 999999937
+    assert all(a.size == 0 for a in two_squares_vec(np.empty(0, dtype=np.int64)))
+    for bad in (7, 2 * INT64_MOD_MAX + 1):
+        with pytest.raises(ValueError):
+            two_squares_vec([5, bad])
 
 
 def test_delta():

@@ -72,6 +72,18 @@ def test_cli_spin():
     assert out.splitlines()[1].startswith("30,0,4")
 
 
+def test_cli_spin_checkpoint_rows_equal_spin_sum():
+    from spinsieve import cli, eigen
+
+    rep = cli.cmd_spin(3 * 10**6 + 17, 5, timing=True)
+    xs = [row["x"] for row in rep.rows]
+    assert xs == [300, 3000, 30000, 300001, 3000017]
+    assert [(r["spin_sum"], r["prime_count"]) for r in rep.rows] == [eigen.spin_sum(x) for x in xs]
+    times = [row["runtime_s"] for row in rep.rows]
+    assert times == sorted(times)  # elapsed time to reach each checkpoint
+    assert rep.summary["final_sum"] == rep.rows[-1]["spin_sum"]
+
+
 def test_cli_usage_errors_exit_2():
     for args in (
         ("theorem1", "--x", "1e13"),

@@ -149,6 +149,14 @@ def _root_sieve(x):
     return sv._RootSieve(x, ar.primes_up_to(math.isqrt(x)))
 
 
+def test_root_sieve_roots_equal_scalar_sqrt_mod():
+    # the sieve reads nu_p from the array kernel; it must be the root the
+    # scalar sqrt_mod gives, so the marked classes are unchanged
+    for x in (1, 25, 10**6, 10**10):
+        rs = sv._RootSieve(x, ar.primes_up_to(math.isqrt(x)))
+        assert rs.nu.tolist() == [ar.sqrt_mod(-1, p)[0] for p in rs.split.tolist()]
+
+
 def test_root_sieve_equals_is_prime_on_every_line():
     # x = 2, 3: sqrt(x) < 2, so p = 2 must not remove n = 2
     for x in (2, 3, 4, 5, 17, 18, 100, 257, 10**4, 10**6):
