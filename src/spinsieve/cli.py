@@ -294,6 +294,8 @@ def main(argv=None) -> int:
         elif args.command == "identities":
             if args.bound > 10**4:
                 parser.error("--bound must be at most 1e4")
+            if args.cases > 10**5:
+                parser.error("--cases must be at most 1e5")
             report = cmd_identities(
                 args.suite, args.bound or None, args.cases, args.seed
             )
@@ -308,6 +310,8 @@ def main(argv=None) -> int:
         elif args.command == "lattice":
             if args.m > 10**4:
                 parser.error("--m must be in (0, 1e4]")
+            if args.cases > 1000:
+                parser.error("--cases must be at most 1000")
             report = cmd_lattice(args.m, args.bound, args.cases)
         elif args.command == "constants":
             report = cmd_constants()
@@ -316,6 +320,8 @@ def main(argv=None) -> int:
                 parser.error("--x >= 1 and --r >= 2 required")
             if args.x > 10**6:
                 parser.error("--x must be in [1, 1e6]")
+            if args.cases > 100:
+                parser.error("--cases must be at most 100")
             report = cmd_decomp(args.x, args.r, args.cases, args.seed)
         else:  # pragma: no cover
             parser.error("unknown command")

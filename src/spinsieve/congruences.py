@@ -79,12 +79,12 @@ def _crt_roots(parts: list[tuple[int, list[int]]]) -> list[int]:
     return sorted(r % mod for r in res)
 
 
-def _roots_neg_square(ell: int, d: int) -> list[int]:
-    # All nu mod d with nu^2 + ell^2 = 0 (mod d).
-    if d == 1:
-        return [0]
+def _roots_neg_square(ell: int, d: int | Factorization) -> list[int]:
+    # All nu mod d with nu^2 + ell^2 = 0 (mod d), read from one factorization
+    # of d, which the caller may pass in place of d.
+    f = d if isinstance(d, Factorization) else factorize(d)
     parts = []
-    for p, e in factorize(d).factors:
+    for p, e in f.factors:
         sols = sqrt_mod(-ell * ell, p, e)
         if not sols:
             return []
@@ -291,20 +291,23 @@ def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     return Fraction(int(np.dot(uc, pref[hi] - pref[lo])), q)
 
 
-def _lemma_84_hypotheses(z1: GaussianInt, z2: GaussianInt) -> int:
+def _lemma_84_failure(z1: GaussianInt, z2: GaussianInt) -> str | None:
+    # The Lemma 8.4 domain of the G0 closed form, the one place it is
+    # written: the first hypothesis (z1, z2) fails, or None.
     msg = "outside the closed form's domain: "
-    if z1.norm() % 2 == 0 or z2.norm() % 2 == 0:
-        raise ValueError(msg + "arguments must be odd")
+    n1, n2 = z1.norm(), z2.norm()
+    if n1 % 2 == 0 or n2 % 2 == 0:
+        return msg + "arguments must be odd"
     if not (is_primitive(z1) and is_primitive(z2)):
-        raise ValueError(msg + "(z, conj z) = 1 fails")
-    if ggcd(z1, z2).norm() != 1:
-        raise ValueError(msg + "(z1, z2) = 1 fails")
+        return msg + "(z, conj z) = 1 fails"
+    # a common Gaussian prime divides both norms, so coprime norms settle it
+    if math.gcd(n1, n2) != 1 and ggcd(z1, z2).norm() != 1:
+        return msg + "(z1, z2) = 1 fails"
     if (z1.re - z2.re) % 8 or (z1.im - z2.im) % 8:
-        raise ValueError(msg + "z1 = z2 (mod 8) fails")
-    d = delta(z1, z2)
-    if d == 0:
-        raise ValueError("determinant vanishes")
-    return abs(d)
+        return msg + "z1 = z2 (mod 8) fails"
+    if delta(z1, z2) == 0:
+        return "determinant vanishes"
+    return None
 
 
 def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
@@ -313,7 +316,9 @@ def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     The symbol is the Jacobi symbol extended to even moduli through the
     odd part; z2/z1 is read as the rational residue mod that odd part.
     """
-    q = _lemma_84_hypotheses(z1, z2)
+    if failure := _lemma_84_failure(z1, z2):
+        raise ValueError(failure)
+    q = abs(delta(z1, z2))
     if q % 4:
         return Fraction(0)
     base = q // 4

@@ -20,12 +20,13 @@ on [M/4, 4M], scaled by 1/2048 so that |frak_f^(j)| <= M^-j for j <= 4
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .congruences import G0_formula, _lemma_84_hypotheses
-from .gaussian import GaussianInt, delta, is_primitive, rational_residue, up_to_norm
+from .congruences import G0_formula, _lemma_84_failure
+from .gaussian import GaussianInt, delta, rational_residue, up_to_norm
 from .sieve import zweight
 
 __all__ = [
@@ -136,7 +137,8 @@ def _sum_weights(wts: dict[int, int], M: float) -> float:
 
 def C_direct(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     """sum over w of f(w) zweight(Re conj(w) z1) zweight(Re conj(w) z2)."""
-    _lemma_84_hypotheses(z1, z2)
+    if failure := _lemma_84_failure(z1, z2):
+        raise ValueError(failure)
     return _sum_weights(_direct_weights(z1, z2, M), M)
 
 
@@ -144,7 +146,8 @@ def C_param(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     """The same sum over integer pairs (c1, c2) with c1^2 z2 = c2^2 z1
     (mod |Delta|) and w reconstructed from i Delta w = c1^2 z2 - c2^2 z1;
     agrees with C_direct exactly."""
-    _lemma_84_hypotheses(z1, z2)
+    if failure := _lemma_84_failure(z1, z2):
+        raise ValueError(failure)
     return _sum_weights(_param_weights(z1, z2, M), M)
 
 
@@ -180,6 +183,23 @@ def e_gamma_fixed(gamma: float, n: int) -> float:
     return float(4.0 * 0.5 * np.dot(w, vals))
 
 
+def _admissible_pairs(zs: list[GaussianInt], delta_cap: int | None, limit: int | None):
+    # The ordered pairs of candidates in the Lemma 8.4 domain, z1 in list
+    # order and z2 in list order within the class of z1 mod 8, at most limit
+    # of them.  delta_cap restricts |Delta|.
+    by_class: dict[tuple[int, int], list[GaussianInt]] = {}
+    for z in zs:
+        by_class.setdefault((z.re % 8, z.im % 8), []).append(z)
+    pairs = (
+        (z1, z2)
+        for z1 in zs
+        for z2 in by_class[z1.re % 8, z1.im % 8]
+        if (delta_cap is None or abs(delta(z1, z2)) <= delta_cap)
+        and _lemma_84_failure(z1, z2) is None
+    )
+    return itertools.islice(pairs, limit)
+
+
 def hypothesis_pairs(
     max_norm: int,
     delta_cap: int | None = None,
@@ -188,30 +208,8 @@ def hypothesis_pairs(
 ):
     """Deterministic stream of ordered pairs (z1, z2) with both odd,
     primitive, coprime, congruent mod 8, and nonzero determinant; ordered
-    by (norm, re, im).  delta_cap restricts |Delta|."""
-    zs = [z for z in up_to_norm(max_norm, min_norm) if z.norm() % 2 and is_primitive(z)]
-    by_class: dict[tuple[int, int], list[GaussianInt]] = {}
-    for z in zs:
-        by_class.setdefault((z.re % 8, z.im % 8), []).append(z)
-    count = 0
-    for z1 in zs:
-        n1 = z1.norm()
-        for z2 in by_class.get((z1.re % 8, z1.im % 8), ()):
-            d = delta(z1, z2)
-            if d == 0 or (delta_cap is not None and abs(d) > delta_cap):
-                continue
-            # coprime norms already force coprime arguments
-            if math.gcd(n1, z2.norm()) == 1 or _gaussian_coprime(z1, z2):
-                yield z1, z2
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-
-
-def _gaussian_coprime(z1: GaussianInt, z2: GaussianInt) -> bool:
-    from .gaussian import ggcd
-
-    return ggcd(z1, z2).norm() == 1
+    by (norm, re, im).  delta_cap restricts |Delta|, limit the count."""
+    yield from _admissible_pairs(up_to_norm(max_norm, min_norm), delta_cap, limit)
 
 
 def box_pairs(
@@ -223,27 +221,16 @@ def box_pairs(
     box = [
         z
         for z in up_to_norm(norm_hi, norm_lo)
-        if z.norm() % 2
-        and is_primitive(z)
-        and angle_lo <= math.atan2(z.im, z.re) < angle_lo + angle_width
+        if angle_lo <= math.atan2(z.im, z.re) < angle_lo + angle_width
     ]
-    for z1 in box:
-        for z2 in box:
-            if (z1.re - z2.re) % 8 or (z1.im - z2.im) % 8:
-                continue
-            d = delta(z1, z2)
-            if d == 0 or (delta_cap is not None and abs(d) > delta_cap):
-                continue
-            if _gaussian_coprime(z1, z2):
-                yield z1, z2
+    yield from _admissible_pairs(box, delta_cap, None)
 
 
 def C0(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     """Zero-frequency main term |z1 z2|^(-1/2) fhat0 E(gamma) G0(z1, z2)."""
-    _lemma_84_hypotheses(z1, z2)
+    g0 = G0_formula(z1, z2)  # raises outside the Lemma 8.4 domain
     n1, n2 = z1.norm(), z2.norm()
     dot = z1.re * z2.re + z1.im * z2.im  # Re(conj(z1) z2)
     mod = math.sqrt(float(n1) * float(n2))
     gamma = dot / mod
-    g0 = G0_formula(z1, z2)
     return weight_mass(M) * E_gamma(gamma) * float(g0) / math.sqrt(mod)

@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import split_range
-from .arith import chi4, factorize, primes_up_to, sqrt_mod, sqrt_neg_one_vec
-from .congruences import rho_b, _crt_roots, _rho_prime_power
+from .arith import chi4, factorize, primes_up_to, sqrt_neg_one_vec
+from .congruences import rho_b, _roots_neg_square, _rho_prime_power
 from .gaussian import gaussian_reps
 
 __all__ = [
@@ -128,23 +128,14 @@ def A_d(x: int, d: int) -> int:
         raise ValueError("x and d must be positive")
     if d == 1:
         return A(x)
-    factors = factorize(d).factors
+    f = factorize(d)
     total = 0
     c = 0
     while c**4 <= x:
         L = math.isqrt(x - c**4)
-        comps = []
-        ok = True
-        for p, e in factors:
-            sols = sqrt_mod(-(c**4), p, e)
-            if not sols:
-                ok = False
-                break
-            comps.append((p**e, sols))
-        if ok:
-            w = 1 if c == 0 else 2
-            for alpha in _crt_roots(comps):
-                total += w * _residue_count(L, alpha, d)
+        w = 1 if c == 0 else 2
+        for alpha in _roots_neg_square(c * c, f):
+            total += w * _residue_count(L, alpha, d)
         if c == 0:
             total -= 1  # the (0, 0) pair
         c += 1

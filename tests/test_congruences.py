@@ -30,6 +30,16 @@ from spinsieve.congruences import (
 from spinsieve.gaussian import GaussianInt as G, delta
 
 
+def test_roots_neg_square_from_factorization():
+    from spinsieve.congruences import _roots_neg_square
+
+    for d in range(1, 200):
+        f = factorize(d)
+        for ell in range(6):
+            want = [nu for nu in range(d) if (nu * nu + ell * ell) % d == 0]
+            assert _roots_neg_square(ell, f) == _roots_neg_square(ell, d) == want, (ell, d)
+
+
 def test_roots_examples():
     assert roots_minus_one(5).roots == (2, 3)
     assert roots_minus_one(65).roots == (8, 18, 47, 57)
@@ -269,6 +279,15 @@ def test_G0_formula_domain():
         G0_formula(G(3, 3), G(3, 11))  # not primitive
     with pytest.raises(ValueError):
         G0_formula(G(1, 0), G(1, 0))  # determinant zero
+    # primitive, odd, congruent mod 8 and Delta = 136, but both divisible by 1+4i
+    with pytest.raises(ValueError, match=r"\(z1, z2\) = 1 fails"):
+        G0_formula(G(1, 4), G(-31, 12))
+    with pytest.raises(ValueError, match="arguments must be odd"):
+        G0_formula(G(1, 1), G(1, 9))
+    # the norms 17 and 1105 share 17, but 1+4i and 1-4i are distinct primes:
+    # coprimality is settled by the Gaussian gcd, not by the norms
+    assert math.gcd(G(1, 4).norm(), G(33, 4).norm()) == 17
+    assert G0_formula(G(1, 4), G(33, 4)) == G0_brute(G(1, 4), G(33, 4)) == 7
 
 
 def test_root_to_representation():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinsieve.gaussian import GaussianInt as G, delta
+from spinsieve.congruences import G0_formula
+from spinsieve.gaussian import GaussianInt as G, delta, up_to_norm
 from spinsieve.lattice import (
     C0,
     C_direct,
@@ -111,6 +112,43 @@ def test_direct_equals_param_many_pairs():
         pw = _param_weights(z1, z2, 2500.0)
         assert dw == pw, (z1, z2)
         assert C_direct(z1, z2, 2500.0) == C_param(z1, z2, 2500.0)
+
+
+def _brute_pairs(zs, delta_cap=None):
+    # every ordered pair of zs that the raising G0_formula guard accepts
+    out = []
+    for z1 in zs:
+        for z2 in zs:
+            if delta_cap is not None and abs(delta(z1, z2)) > delta_cap:
+                continue
+            try:
+                G0_formula(z1, z2)
+            except ValueError:
+                continue
+            out.append((z1, z2))
+    return out
+
+
+def test_pair_streams_equal_brute_guard_loop():
+    want = _brute_pairs(up_to_norm(300, 9), delta_cap=120)[:50]
+    assert len(want) == 50
+    assert list(hypothesis_pairs(300, delta_cap=120, limit=50, min_norm=9)) == want
+    want = _brute_pairs(up_to_norm(100), delta_cap=32)
+    assert (G(1, 4), G(9, 4)) in want  # |Delta| = 32 sits on the cap
+    assert list(hypothesis_pairs(100, delta_cap=32)) == want
+    want = _brute_pairs(up_to_norm(400))
+    assert len(want) > 1000
+    assert list(hypothesis_pairs(400)) == want
+    box = [z for z in up_to_norm(1000, 250) if 0.35 <= math.atan2(z.im, z.re) < 0.35 + 0.45]
+    want = _brute_pairs(box, delta_cap=300)
+    assert len(want) >= 30
+    assert list(box_pairs(250, 1000, 0.35, 0.45, delta_cap=300)) == want
+
+
+def test_hypothesis_pairs_limit():
+    assert list(hypothesis_pairs(200, limit=0)) == []
+    assert len(list(hypothesis_pairs(200, limit=1))) == 1
+    assert list(hypothesis_pairs(200, limit=7)) == list(hypothesis_pairs(200))[:7]
 
 
 def test_c_param_counts_match_weighted_w():

@@ -103,6 +103,9 @@ def test_cli_usage_errors_exit_2():
         ("lattice", "--cases", "-3"),
         ("decomp", "--cases", "0"),
         ("decomp", "--x", "1000001"),
+        ("decomp", "--cases", "101"),
+        ("identities", "--suite", "laws", "--cases", "100001"),
+        ("lattice", "--cases", "1001"),
         ("spin", "--x", "100", "--threads", "-3"),
         ("theorem1", "--x", "100", "--threads", "-3"),
     ):
