@@ -13,8 +13,8 @@ import random
 from spinsieve.decomp import (
     prop_24_2_check,
     separate,
+    squarefree_up_to,
     vaughan_terms,
-    _squarefree_up_to,
 )
 
 print("separation triples at r = 2 (primes dealt: d gets top 2 + every 2nd):")
@@ -26,7 +26,7 @@ print()
 print("triple-sum identity on random +-1 data (exact, rational weights):")
 rng = random.Random(0)
 for r in (2, 3):
-    sup = _squarefree_up_to(5000)
+    sup = squarefree_up_to(5000)
     f = {ell: rng.choice((-1, 1)) for ell in sup}
     lhs, rhs, eq = prop_24_2_check(f, 5000, r)
     print(f"  r = {r}: lhs = {lhs}, rhs = {rhs}, exact equality: {eq}")

@@ -16,6 +16,7 @@ import sys
 import time
 
 from . import decomp, eigen, identities, lattice, sieve
+from .decomp import squarefree_up_to
 from .gaussian import delta
 from .reports import Report
 
@@ -160,9 +161,7 @@ def cmd_constants() -> Report:
 
 def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
     rng = random.Random(seed)
-    from .decomp import _squarefree_up_to
-
-    support = _squarefree_up_to(x)
+    support = squarefree_up_to(x)
     rows = []
     bad = 0
     for trial in range(cases):

@@ -291,15 +291,30 @@ def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     return Fraction(int(np.dot(uc, pref[hi] - pref[lo])), q)
 
 
+def _is_odd(z: GaussianInt) -> bool:
+    return z.norm() % 2 == 1
+
+
+# The hypotheses of the Lemma 8.4 domain on one argument, in checking order.
+_LEMMA_84_EACH = (
+    (_is_odd, "arguments must be odd"),
+    (is_primitive, "(z, conj z) = 1 fails"),
+)
+
+
+def _lemma_84_admits(z: GaussianInt) -> bool:
+    # z passes every one-argument hypothesis of the Lemma 8.4 domain.
+    return all(holds(z) for holds, _ in _LEMMA_84_EACH)
+
+
 def _lemma_84_failure(z1: GaussianInt, z2: GaussianInt) -> str | None:
     # The Lemma 8.4 domain of the G0 closed form, the one place it is
     # written: the first hypothesis (z1, z2) fails, or None.
     msg = "outside the closed form's domain: "
+    for holds, what in _LEMMA_84_EACH:
+        if not (holds(z1) and holds(z2)):
+            return msg + what
     n1, n2 = z1.norm(), z2.norm()
-    if n1 % 2 == 0 or n2 % 2 == 0:
-        return msg + "arguments must be odd"
-    if not (is_primitive(z1) and is_primitive(z2)):
-        return msg + "(z, conj z) = 1 fails"
     # a common Gaussian prime divides both norms, so coprime norms settle it
     if math.gcd(n1, n2) != 1 and ggcd(z1, z2).norm() != 1:
         return msg + "(z1, z2) = 1 fails"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._util import Tally
-from .arith import factorize, mobius, von_mangoldt, divisors
+from .arith import factorize, von_mangoldt
 
 __all__ = [
     "SeparationTriple",
@@ -31,6 +31,7 @@ __all__ = [
     "nu",
     "kth_root",
     "IdentityStructure",
+    "squarefree_up_to",
     "identity_structure",
     "prop_24_2_check",
     "vaughan_terms",
@@ -71,10 +72,10 @@ class SeparationTriple:
             raise ValueError("block ordering n <= m <= d n violated")
         if self.m**2 > ell or self.n**2 > ell:
             raise ValueError("m, n must be at most sqrt(ell)")
-        f = factorize(ell)
-        if any(e > 1 for _, e in f.factors):
+        primes = _descending_primes(ell)
+        if math.prod(primes) != ell:
             raise ValueError("ell must be squarefree")
-        p1 = f.factors[-1][0] if f.factors else 1
+        p1 = primes[0] if primes else 1
         if self.d_sep**self.r > ell * p1 ** (self.r * (self.r - 1)):
             raise ValueError("separation divisor exceeds its bound")
 
@@ -85,10 +86,9 @@ def separate(ell: int, r: int) -> SeparationTriple:
     alternately to m and n."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    f = factorize(ell)
-    if any(e > 1 for _, e in f.factors):
+    primes = _descending_primes(ell)
+    if math.prod(primes) != ell:
         raise ValueError("ell must be squarefree")
-    primes = sorted((p for p, _ in f.factors), reverse=True)
     d = m = n = 1
     for i, p in enumerate(primes, start=1):
         if i <= r or i % r == 0:
@@ -103,6 +103,14 @@ def separate(ell: int, r: int) -> SeparationTriple:
 @lru_cache(maxsize=1 << 18)
 def _descending_primes(k: int) -> tuple[int, ...]:
     return tuple(sorted((p for p, _ in factorize(k).factors), reverse=True))
+
+
+def _signed_divisors(primes) -> list[tuple[int, int]]:
+    # (a, mu(a)) for every product a of a subset of the distinct primes
+    out = [(1, 1)]
+    for p in primes:
+        out += [(a * p, -mu) for a, mu in out]
+    return out
 
 
 def _gamma(member: int, d_sep: int, r: int, offset: int) -> bool:
@@ -168,7 +176,8 @@ class IdentityStructure:
     c3: dict[int, int]
 
 
-def _squarefree_up_to(x: int) -> list[int]:
+def squarefree_up_to(x: int) -> list[int]:
+    """The squarefree integers 1 <= ell <= x, ascending."""
     flags = [True] * (x + 1)
     k = 2
     while k * k <= x:
@@ -193,31 +202,26 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
     c1: dict[int, int] = {}
     w2: dict[int, Fraction] = {}
     c3: dict[int, int] = {}
-    for ell in _squarefree_up_to(x):
-        primes = _descending_primes(ell)
-        smooth_part = [p for p in primes if p <= z]
+    for ell in squarefree_up_to(x):
+        primes = [p for p, _ in factorize(ell).factors]
         large = [p for p in primes if p > z]
-        # triple-sum coefficient: ordered (d, m, n), d m n = ell
-        if not large:
-            cnt = 0
-            for d in divisors(ell):
-                if d > D:
-                    continue
-                rest = ell // d
-                for m in divisors(rest):
-                    if m > sx or rest // m > sx:
-                        continue
-                    if gamma_plus(m, d, r) and gamma_minus(rest // m, d, r):
-                        cnt += 1
+        if not large:  # triple-sum coefficient: ordered (d, m, n), d m n = ell
+            cnt = sum(
+                gamma_plus(m, d, r) and gamma_minus(ell // (d * m), d, r)
+                for d, _ in _signed_divisors(primes)
+                if d <= D
+                for m, _ in _signed_divisors([p for p in primes if d % p])
+                if m <= sx and ell // (d * m) <= sx
+            )
             if cnt:
                 c1[ell] = cnt
-        # split-off terms over p | ell, p > z
-        for p in large:
-            q = ell // p
-            if q > z:
-                w2[ell] = w2.get(ell, Fraction(0)) + Fraction(1, 1 + nu(q, z))
-            else:
-                c3[ell] = c3.get(ell, 0) + 1
+        # split-off terms over p | ell, p > z: q = ell / p has the other
+        # len(large) - 1 primes above z, so gamma(q) = 1 / len(large)
+        above = sum(1 for p in large if ell // p > z)
+        if above:
+            w2[ell] = Fraction(above, len(large))
+        if above < len(large):
+            c3[ell] = len(large) - above
     return IdentityStructure(x=x, r=r, z=z, D=D, c1=c1, w2=w2, c3=c3)
 
 
@@ -226,24 +230,22 @@ def prop_24_2_check(f: dict[int, complex], x: int, r: int):
     on squarefree ell <= x; returns (lhs, rhs, equal).  gamma(q) weights
     are exact rationals; equality is exact for integer-valued f and to
     1e-9 otherwise."""
+    if not f.keys() <= set(squarefree_up_to(x)):
+        raise ValueError("f must be supported on squarefree ell <= x")
     struct = identity_structure(x, r)
     lhs = sum(f.values())
-    rhs = 0
     exact = all(
         isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
         for v in f.values()
     )
+    # sum f per coefficient c1 + c3 + w2, so rationals are formed once per value
+    sums: dict[tuple[int, int, int], complex] = {}
     for ell, v in f.items():
-        ft = factorize(ell)
-        if any(e > 1 for _, e in ft.factors) or ell > x:
-            raise ValueError("f must be supported on squarefree ell <= x")
-        rhs += struct.c1.get(ell, 0) * v
-        rhs += struct.w2.get(ell, Fraction(0)) * v
-        rhs += struct.c3.get(ell, 0) * v
-    if exact:
-        equal = lhs == rhs
-    else:
-        equal = abs(complex(lhs) - complex(rhs)) <= 1e-9
+        w = struct.w2.get(ell, 0)
+        c = (struct.c1.get(ell, 0) + struct.c3.get(ell, 0), w.numerator, w.denominator)
+        sums[c] = sums.get(c, 0) + v
+    rhs = sum((c + Fraction(n, d)) * s for (c, n, d), s in sums.items())
+    equal = lhs == rhs if exact else abs(complex(lhs) - complex(rhs)) <= 1e-9
     return lhs, rhs, equal
 
 
@@ -254,28 +256,21 @@ def vaughan_terms(n: int, y: int) -> tuple[float, float, float]:
         t1 = sum_{a | n, a <= y} mu(a) log(n/a)
         t2 = sum_{ab | n, a, b <= y} mu(a) Lambda(b)
         t3 = sum_{ab | n, a, b > y} mu(a) Lambda(b)
-    """
+
+    mu(a) and Lambda(b) = log p, b = p^k, are read off one factorization."""
     if n < 1 or y < 1:
         raise ValueError("n and y must be positive")
-    divs = divisors(n)
-    mu = {d: mobius(d) for d in divs}
-    lam = {d: von_mangoldt(d) for d in divs}
-    t1 = math.fsum(mu[a] * math.log(n / a) for a in divs if a <= y and mu[a])
-    t2 = math.fsum(
-        mu[a] * lam[b]
-        for a in divs
-        if a <= y and mu[a]
-        for b in divisors(n // a)
-        if b <= y and lam[b]
-    )
-    t3 = math.fsum(
-        mu[a] * lam[b]
-        for a in divs
-        if a > y and mu[a]
-        for b in divisors(n // a)
-        if b > y and lam[b]
-    )
-    return t1, t2, t3
+    factors = factorize(n).factors
+    t1, t2, t3 = [], [], []
+    for a, mu in _signed_divisors(p for p, _ in factors):
+        small = a <= y
+        if small:
+            t1.append(mu * math.log(n / a))
+        for p, e in factors:  # the prime powers b = p^k dividing n / a
+            for k in range(1, e + 1 - (a % p == 0)):
+                if (p**k <= y) == small:
+                    (t2 if small else t3).append(mu * math.log(p))
+    return math.fsum(t1), math.fsum(t2), math.fsum(t3)
 
 
 def vaughan_check(n_max: int):

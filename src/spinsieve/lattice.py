@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .congruences import G0_formula, _lemma_84_failure
+from .congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
 from .gaussian import GaussianInt, delta, rational_residue, up_to_norm
 from .sieve import zweight
 
@@ -186,7 +186,9 @@ def e_gamma_fixed(gamma: float, n: int) -> float:
 def _admissible_pairs(zs: list[GaussianInt], delta_cap: int | None, limit: int | None):
     # The ordered pairs of candidates in the Lemma 8.4 domain, z1 in list
     # order and z2 in list order within the class of z1 mod 8, at most limit
-    # of them.  delta_cap restricts |Delta|.
+    # of them.  delta_cap restricts |Delta|.  Candidates failing a
+    # one-argument hypothesis are dropped before any pair is formed.
+    zs = [z for z in zs if _lemma_84_admits(z)]
     by_class: dict[tuple[int, int], list[GaussianInt]] = {}
     for z in zs:
         by_class.setdefault((z.re % 8, z.im % 8), []).append(z)

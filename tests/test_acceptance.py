@@ -161,10 +161,8 @@ def test_a05_determinant_symbol_transform():
 
 def test_a06_combinatorial_identities():
     t0 = time.perf_counter()
-    from spinsieve.decomp import _squarefree_up_to
-
     x = 10**4
-    sup = _squarefree_up_to(x)
+    sup = decomp.squarefree_up_to(x)
     trials = 0
     rng = random.Random(60)
     for _ in range(100):

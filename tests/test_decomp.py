@@ -8,10 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinsieve.arith import divisors, von_mangoldt
+from spinsieve.arith import divisors, factorize, mobius, von_mangoldt
 from spinsieve.decomp import (
     SeparationTriple,
-    _squarefree_up_to,
     gamma_minus,
     gamma_plus,
     identity_structure,
@@ -19,6 +18,7 @@ from spinsieve.decomp import (
     nu,
     prop_24_2_check,
     separate,
+    squarefree_up_to,
     vaughan_terms,
 )
 
@@ -52,7 +52,7 @@ def test_separate_roundtrip_and_bounds():
     # ell = d m n, n <= m <= d n, m, n <= sqrt(ell), d^r <= ell p1^(r(r-1));
     # the SeparationTriple validator enforces all of these on construction
     for r in (2, 3, 4):
-        for ell in _squarefree_up_to(10**6):
+        for ell in squarefree_up_to(10**6):
             t = separate(ell, r)
             assert t.d_sep * t.m * t.n == ell
 
@@ -67,7 +67,7 @@ def test_gamma_examples():
 def test_gamma_uniqueness_exhaustive():
     # the canonical triple is the unique gamma-valid ordered factorization
     for r in (2, 3):
-        for ell in _squarefree_up_to(10**5):
+        for ell in squarefree_up_to(10**5):
             t = separate(ell, r)
             found = []
             for d in divisors(ell):
@@ -84,10 +84,24 @@ def test_nu():
     assert nu(97, 96) == 1
 
 
+def test_split_off_weights_equal_nu_weights():
+    # w2[ell] = sum over p | ell, p > z, ell / p > z of 1 / (1 + nu(ell / p, z))
+    x = 10**4
+    for r in (2, 3):
+        struct = identity_structure(x, r)
+        z = struct.z
+        want = {}
+        for ell in squarefree_up_to(x):
+            for p, _ in factorize(ell).factors:
+                if p > z and ell // p > z:
+                    want[ell] = want.get(ell, Fraction(0)) + Fraction(1, 1 + nu(ell // p, z))
+        assert struct.w2 == want, r
+
+
 def test_identity_random_signs():
     rng = random.Random(17)
     for r in (2, 3):
-        sup = _squarefree_up_to(10**4)
+        sup = squarefree_up_to(10**4)
         struct = None
         for _ in range(5):
             f = {ell: rng.choice((-1, 1)) for ell in sup}
@@ -97,7 +111,7 @@ def test_identity_random_signs():
 
 def test_identity_at_1e5():
     rng = random.Random(20)
-    sup = _squarefree_up_to(10**5)
+    sup = squarefree_up_to(10**5)
     for trial in range(10):
         f = {ell: rng.choice((-1, 1)) for ell in sup}
         lhs, rhs, eq = prop_24_2_check(f, 10**5, 2)
@@ -114,9 +128,15 @@ def test_identity_single_point_and_primes():
         assert eq
 
 
+def test_identity_rejects_support_outside_squarefree():
+    for f in ({12: 1}, {101: 1}, {1: 1, 4: 1}):
+        with pytest.raises(ValueError, match="squarefree ell <= x"):
+            prop_24_2_check(f, 100, 2)
+
+
 def test_identity_real_valued():
     rng = random.Random(18)
-    sup = _squarefree_up_to(3000)
+    sup = squarefree_up_to(3000)
     f = {ell: rng.uniform(-1, 1) for ell in sup}
     lhs, rhs, eq = prop_24_2_check(f, 3000, 2)
     assert eq and abs(lhs - complex(rhs).real) <= 1e-9
@@ -124,13 +144,11 @@ def test_identity_real_valued():
 
 def test_smooth_restriction_matches_triple_sum():
     # for f supported on z-smooth squarefree ell the triple sum alone is exact
-    from spinsieve.arith import factorize
-
     x, r = 10**4, 2
     struct = identity_structure(x, r)
     smooth = [
         ell
-        for ell in _squarefree_up_to(x)
+        for ell in squarefree_up_to(x)
         if all(p <= struct.z for p, _ in factorize(ell).factors)
     ]
     rng = random.Random(19)
@@ -148,6 +166,42 @@ def test_vaughan_identity():
             t1, t2, t3 = vaughan_terms(n, y)
             want = von_mangoldt(n) if n > y else 0.0
             assert abs(t1 - t2 + t3 - want) < 1e-9, (n, y)
+
+
+def test_vaughan_terms_equal_divisor_walk():
+    for n in range(1, 3001):
+        divs = divisors(n)
+        mu = {d: mobius(d) for d in divs}
+        lam = {d: von_mangoldt(d) for d in divs}
+        for y in (1, 2, 10, 100, 3000):
+            t1 = math.fsum(mu[a] * math.log(n / a) for a in divs if a <= y)
+            t2 = math.fsum(
+                mu[a] * lam[b] for a in divs if a <= y for b in divisors(n // a) if b <= y
+            )
+            t3 = math.fsum(
+                mu[a] * lam[b] for a in divs if a > y for b in divisors(n // a) if b > y
+            )
+            assert vaughan_terms(n, y) == (t1, t2, t3), (n, y)
+
+
+def test_vaughan_terms_factorizes_once(monkeypatch):
+    from spinsieve import arith, decomp
+
+    calls = []
+    real = arith.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(decomp, "factorize", counted)
+    n = 2**3 * 3**2 * 5 * 7 * 11
+    for y in (1, 10, 100, n):
+        calls.clear()
+        t1, t2, t3 = vaughan_terms(n, y)
+        assert calls == [n], y
+        assert abs(t1 - t2 + t3) < 1e-9, y  # Lambda(n) = 0
 
 
 def test_vaughan_examples():
