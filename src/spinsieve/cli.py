@@ -74,22 +74,26 @@ def cmd_spin(x: int, checkpoints: int, timing: bool) -> Report:
     )
 
 
-def cmd_identities(suite: str, bound: int | None, cases: int, seed: int) -> Report:
+def cmd_identities(
+    suite: str, bound: int | None, cases: int, seed: int, timing: bool
+) -> Report:
     names = list(identities.SUITES) if suite == "all" else [suite]
     rows = []
     for name in names:
         b = bound or identities.SUITES[name][1]
+        t0 = time.perf_counter()
         checked, violations, first = identities.run(name, b, cases, seed)
         if violations:
             sys.stderr.write(f"identities {name}: first failing inputs {first}\n")
-        rows.append(
-            {
-                "suite": name,
-                "bound": b,
-                "cases": checked,
-                "violations": violations,
-            }
-        )
+        row = {
+            "suite": name,
+            "bound": b,
+            "cases": checked,
+            "violations": violations,
+        }
+        if timing:
+            row["runtime_s"] = time.perf_counter() - t0
+        rows.append(row)
     return Report(
         command="identities",
         parameters={"suite": suite, "bound": bound or 0, "cases": cases, "seed": seed},
@@ -247,8 +251,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identities", help="exhaustive/seeded identity suites")
     sp.add_argument("--suite", choices=tuple(identities.SUITES) + ("all",), default="all")
     sp.add_argument("--bound", type=int, default=0)
-    sp.add_argument("--cases", type=_int_at_least(1), default=1000)
+    sp.add_argument("--cases", type=_int_at_least(1), default=1000,
+                    help="random cases of the laws suite, the only suite that reads it")
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--timing", action="store_true")
     common(sp, threads=False)
 
     sp = sub.add_parser("remainder", help="sieve remainder scan r_d(x)")
@@ -296,7 +302,7 @@ def main(argv=None) -> int:
             if args.cases > 10**5:
                 parser.error("--cases must be at most 1e5")
             report = cmd_identities(
-                args.suite, args.bound or None, args.cases, args.seed
+                args.suite, args.bound or None, args.cases, args.seed, args.timing
             )
         elif args.command == "remainder":
             x = int(args.x)

@@ -265,10 +265,26 @@ def G_sum(h1: int, h2: int, z1: GaussianInt, z2: GaussianInt) -> complex:
 def _square_classes(q: int):
     # distinct values of g^2 mod q with multiplicities
     g = np.arange(q, dtype=np.int64)
-    us, uc = np.unique((g * g) % q, return_counts=True)
-    if q < 46000:  # keys us*c*q + us*c stay inside int32
-        return us.astype(np.int32), uc.astype(np.int64)
-    return us, uc
+    return np.unique((g * g) % q, return_counts=True)
+
+
+def _g0_brute_counts(q: int, pairs) -> np.ndarray:
+    # #{(g1, g2) mod q : g1^2 z2 = g2^2 z1 (mod q)} for each pair (z1, z2),
+    # the congruence tested on both coordinates.  Row i's keys are offset by
+    # i q^2, so one sort and two searches count the whole group.
+    us, uc = _square_classes(q)
+    c = np.array(
+        [(z1.re % q, z1.im % q, z2.re % q, z2.im % q) for z1, z2 in pairs], dtype=np.int64
+    ).reshape(-1, 4)
+    off = np.arange(len(c), dtype=np.int64)[:, None] * (q * q)
+    k1 = off + (c[:, 2:3] * us % q) * q + c[:, 3:4] * us % q
+    k2 = off + (c[:, 0:1] * us % q) * q + c[:, 1:2] * us % q
+    order = np.argsort(k1, axis=None, kind="stable")
+    s1 = k1.ravel()[order]
+    pref = np.concatenate(([0], np.cumsum(np.broadcast_to(uc, k1.shape).ravel()[order])))
+    lo = np.searchsorted(s1, k2.ravel(), side="left")
+    hi = np.searchsorted(s1, k2.ravel(), side="right")
+    return (pref[hi] - pref[lo]).reshape(k1.shape) @ uc
 
 
 def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:
@@ -280,15 +296,7 @@ def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     q = abs(delta(z1, z2))
     if q == 0:
         raise ValueError("determinant vanishes")
-    us, uc = _square_classes(q)
-    k1 = (us * (z2.re % q) % q) * q + us * (z2.im % q) % q
-    k2 = (us * (z1.re % q) % q) * q + us * (z1.im % q) % q
-    order = np.argsort(k1, kind="stable")
-    s1 = k1[order]
-    pref = np.concatenate(([0], np.cumsum(uc[order])))
-    lo = np.searchsorted(s1, k2, side="left")
-    hi = np.searchsorted(s1, k2, side="right")
-    return Fraction(int(np.dot(uc, pref[hi] - pref[lo])), q)
+    return Fraction(int(_g0_brute_counts(q, [(z1, z2)])[0]), q)
 
 
 def _is_odd(z: GaussianInt) -> bool:
@@ -325,30 +333,55 @@ def _lemma_84_failure(z1: GaussianInt, z2: GaussianInt) -> str | None:
     return None
 
 
-def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
-    """Closed form G0 = 2 sum_{4d | Delta} phi(d)/d (z2/z1 / d).
-
-    The symbol is the Jacobi symbol extended to even moduli through the
-    odd part; z2/z1 is read as the rational residue mod that odd part.
-    """
+def _g0_residue(z1: GaussianInt, z2: GaussianInt) -> tuple[int, int]:
+    # The closed form reads a pair in its domain only through q = |Delta|
+    # and T = z2/z1 mod the odd part of q/4: the guard, then (q, T).  In the
+    # domain z2 = z1 (mod 8), so 8 divides Delta.
     if failure := _lemma_84_failure(z1, z2):
         raise ValueError(failure)
     q = abs(delta(z1, z2))
-    if q % 4:
-        return Fraction(0)
+    qodd = q // (q & -q)
+    return q, rational_residue(z1, z2, qodd) if qodd > 1 else 1
+
+
+def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> Fraction:
+    # 2 sum_{d | q/4} phi(d)/d (T / d) over the divisor table of q/4
     base = q // 4
-    qodd = base
-    while qodd % 2 == 0:
-        qodd //= 2
-    T = rational_residue(z1, z2, qodd) if qodd > 1 else 1
-    num = 0  # running sum of (base/d) phi(d) (z2/z1 / d)
-    for d, ph in _divisors_phi(factorize(base)):
+    num = 0  # running sum of (base/d) phi(d) (T / d)
+    for d, ph in divs:
         dodd = d // (d & -d)
         t = T % dodd if dodd > 1 else 1
         if t % 2 == 0:
             t += dodd  # odd representative of the same class mod dodd
         num += (base // d) * ph * jacobi_extended(t, d)
     return Fraction(2 * num, base)
+
+
+def _g0_closed_forms(q: int, pairs) -> list[Fraction]:
+    # G0_formula on pairs that share |Delta| = q: each pair passes the guard
+    # and has its own residue T, while q/4 is factorized and its divisor
+    # table built once, and the sum is taken once per distinct T.
+    divs: list[tuple[int, int]] = []
+    sums: dict[int, Fraction] = {}
+    out = []
+    for z1, z2 in pairs:
+        qz, T = _g0_residue(z1, z2)
+        if qz != q:
+            raise ValueError(f"|Delta| = {qz} in the group of |Delta| = {q}")
+        if T not in sums:
+            divs = divs or _divisors_phi(factorize(q // 4))
+            sums[T] = _g0_divisor_sum(q, T, divs)
+        out.append(sums[T])
+    return out
+
+
+def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
+    """Closed form G0 = 2 sum_{4d | Delta} phi(d)/d (z2/z1 / d).
+
+    The symbol is the Jacobi symbol extended to even moduli through the
+    odd part; z2/z1 is read as the rational residue mod that odd part.
+    """
+    return _g0_closed_forms(abs(delta(z1, z2)), [(z1, z2)])[0]
 
 
 def root_to_representation(nu: int, d: int) -> tuple[int, int]:

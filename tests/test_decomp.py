@@ -11,6 +11,7 @@ import pytest
 from spinsieve.arith import divisors, factorize, mobius, von_mangoldt
 from spinsieve.decomp import (
     SeparationTriple,
+    _smallest_prime_factors,
     gamma_minus,
     gamma_plus,
     identity_structure,
@@ -220,3 +221,9 @@ def test_kth_root_is_exact_threshold():
     assert z == 10
     struct = identity_structure(x, r)
     assert struct.z == 10 and struct.D == 10**4
+
+
+def test_smallest_prime_factor_sieve_equals_factorize():
+    spf = _smallest_prime_factors(20000)
+    assert len(spf) == 20001
+    assert all(spf[n] == factorize(n).factors[0][0] for n in range(2, 20001))

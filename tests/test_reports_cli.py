@@ -84,6 +84,17 @@ def test_cli_spin_checkpoint_rows_equal_spin_sum():
     assert rep.summary["final_sum"] == rep.rows[-1]["spin_sum"]
 
 
+def test_cli_identities_runtime_only_under_timing():
+    args = ("identities", "--suite", "all", "--bound", "30", "--format", "json")
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert all("runtime_s" not in row for row in json.loads(out)["rows"])
+    code, out, _ = run_cli(*args, "--timing")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 7 and all(row["runtime_s"] >= 0 for row in rows)
+
+
 def test_cli_usage_errors_exit_2():
     for args in (
         ("theorem1", "--x", "1e13"),
