@@ -76,6 +76,19 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def _smallest_prime_factors(x: int) -> np.ndarray:
+    # spf[n] = the least prime factor of n for 2 <= n <= x, from one sieve;
+    # spf[0] = 0 and spf[1] = 1.  int32 holds every n <= x at the callers' caps.
+    spf = np.zeros(x + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(x) + 1):
+        if spf[p] == 0:
+            tail = spf[p * p :: p]
+            tail[tail == 0] = p
+    primes = np.flatnonzero(spf == 0)
+    spf[primes] = primes
+    return spf
+
+
 def prime_range(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) by a segmented sieve; memory O(hi - lo + sqrt(hi))."""
     lo = max(lo, 2)

@@ -102,8 +102,8 @@ def cmd_identities(
     )
 
 
-def cmd_remainder(x: int, d_max: int) -> Report:
-    rows_raw, summary = sieve.remainder_scan(x, d_max)
+def cmd_remainder(x: int, d_max: int, timing: bool) -> Report:
+    rows_raw, summary = sieve.remainder_scan(x, d_max, timing)
     rows = [
         {
             "d": r.d,
@@ -260,6 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("remainder", help="sieve remainder scan r_d(x)")
     sp.add_argument("--x", type=_finite_positive, required=True)
     sp.add_argument("--d-max", type=int, default=0)
+    sp.add_argument("--timing", action="store_true")
     common(sp)
 
     sp = sub.add_parser("lattice", help="direct vs parameterized ellipse counts")
@@ -308,10 +309,7 @@ def main(argv=None) -> int:
             x = int(args.x)
             if not 1 <= x <= 10**8:
                 parser.error("--x must be in [1, 1e8]")
-            d_max = args.d_max or math.isqrt(x)
-            if d_max > x:
-                parser.error("--d-max must be at most x")
-            report = cmd_remainder(x, d_max)
+            report = cmd_remainder(x, args.d_max or math.isqrt(x), args.timing)
         elif args.command == "lattice":
             if args.m > 10**4:
                 parser.error("--m must be in (0, 1e4]")

@@ -333,17 +333,6 @@ def _lemma_84_failure(z1: GaussianInt, z2: GaussianInt) -> str | None:
     return None
 
 
-def _g0_residue(z1: GaussianInt, z2: GaussianInt) -> tuple[int, int]:
-    # The closed form reads a pair in its domain only through q = |Delta|
-    # and T = z2/z1 mod the odd part of q/4: the guard, then (q, T).  In the
-    # domain z2 = z1 (mod 8), so 8 divides Delta.
-    if failure := _lemma_84_failure(z1, z2):
-        raise ValueError(failure)
-    q = abs(delta(z1, z2))
-    qodd = q // (q & -q)
-    return q, rational_residue(z1, z2, qodd) if qodd > 1 else 1
-
-
 def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> Fraction:
     # 2 sum_{d | q/4} phi(d)/d (T / d) over the divisor table of q/4
     base = q // 4
@@ -358,16 +347,19 @@ def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> Fraction:
 
 
 def _g0_closed_forms(q: int, pairs) -> list[Fraction]:
-    # G0_formula on pairs that share |Delta| = q: each pair passes the guard
-    # and has its own residue T, while q/4 is factorized and its divisor
+    # G0_formula on pairs in the Lemma 8.4 domain that share |Delta| = q; the
+    # caller has checked the domain.  The closed form reads a pair only
+    # through q and T = z2/z1 mod the odd part of q/4 (in the domain
+    # z2 = z1 (mod 8), so 8 divides Delta): q/4 is factorized and its divisor
     # table built once, and the sum is taken once per distinct T.
+    qodd = q // (q & -q)
     divs: list[tuple[int, int]] = []
     sums: dict[int, Fraction] = {}
     out = []
     for z1, z2 in pairs:
-        qz, T = _g0_residue(z1, z2)
-        if qz != q:
+        if (qz := abs(delta(z1, z2))) != q:
             raise ValueError(f"|Delta| = {qz} in the group of |Delta| = {q}")
+        T = rational_residue(z1, z2, qodd) if qodd > 1 else 1
         if T not in sums:
             divs = divs or _divisors_phi(factorize(q // 4))
             sums[T] = _g0_divisor_sum(q, T, divs)
@@ -381,6 +373,8 @@ def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     The symbol is the Jacobi symbol extended to even moduli through the
     odd part; z2/z1 is read as the rational residue mod that odd part.
     """
+    if failure := _lemma_84_failure(z1, z2):
+        raise ValueError(failure)
     return _g0_closed_forms(abs(delta(z1, z2)), [(z1, z2)])[0]
 
 

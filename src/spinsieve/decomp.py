@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from ._util import Tally
-from .arith import factorize, von_mangoldt
+from .arith import _smallest_prime_factors, factorize, von_mangoldt
 
 __all__ = [
     "SeparationTriple",
@@ -188,18 +186,6 @@ def squarefree_up_to(x: int) -> list[int]:
     return [n for n in range(1, x + 1) if flags[n]]
 
 
-def _smallest_prime_factors(x: int) -> list[int]:
-    # spf[n] = the least prime factor of n for 2 <= n <= x, from one sieve
-    spf = np.zeros(x + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(x) + 1):
-        if spf[p] == 0:
-            tail = spf[p * p :: p]
-            tail[tail == 0] = p
-    primes = np.flatnonzero(spf == 0)
-    spf[primes] = primes
-    return spf.tolist()
-
-
 @lru_cache(maxsize=8)
 def identity_structure(x: int, r: int) -> IdentityStructure:
     """Enumerate the decomposition coefficients for all squarefree ell <= x.
@@ -216,7 +202,7 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
     c1: dict[int, int] = {}
     w2: dict[int, Fraction] = {}
     c3: dict[int, int] = {}
-    spf = _smallest_prime_factors(x)
+    spf = _smallest_prime_factors(x).tolist()
     for ell in squarefree_up_to(x):
         primes, n = [], ell  # ell's primes, ascending, read off the sieve
         while n > 1:

@@ -133,7 +133,7 @@ def g0(bound: int, cases: int, rng: random.Random):
             groups.setdefault(abs(delta(z1, z2)), []).append(i)
         ok = [False] * len(chunk)
         for q, idx in groups.items():
-            group = [chunk[i] for i in idx]
+            group = [chunk[i] for i in idx]  # in the Lemma 8.4 domain, as generated
             closed = congruences._g0_closed_forms(q, group)
             counts = congruences._g0_brute_counts(q, group)
             for i, f, c in zip(idx, closed, counts):

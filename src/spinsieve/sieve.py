@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import split_range
-from .arith import chi4, factorize, primes_up_to, sqrt_neg_one_vec
+from .arith import _smallest_prime_factors, chi4, factorize, primes_up_to, sqrt_neg_one_vec
 from .congruences import rho_b, _roots_neg_square, _rho_prime_power
 from .gaussian import gaussian_reps
 
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class RemainderRow:
     """One modulus of the remainder scan: r_d = A_d(x) - g(d) A(x)."""
 
@@ -192,49 +192,130 @@ def h(d: int) -> Fraction:
     return out
 
 
+# The largest a_n the int8 array holds: _an_array raises before an entry
+# could pass it.  At the x cap of 1e8 no a_n exceeds 20.
+_AN_MAX = int(np.iinfo(np.int8).max)
+
+
 def _an_array(x: int) -> np.ndarray:
-    # an[n] = a_n for 0 <= n <= x, built by enumeration over (a, c).
-    vals = []
+    # an[n] = a_n for 0 <= n <= x in int8, added one c-line at a time: on a
+    # line n = a^2 + c^4 is distinct for each a >= 0, so one indexed add
+    # counts every pair of the line once.
+    an = np.zeros(x + 1, dtype=np.int8)
     c = 0
     while c**4 <= x:
         c4 = c**4
-        amax = math.isqrt(x - c4)
-        a = np.arange(1, amax + 1, dtype=np.int64)
+        a = np.arange(0 if c else 1, math.isqrt(x - c4) + 1, dtype=np.int64)
         n = a * a + c4
-        rep = 2 if c else 1
-        chunk = np.repeat(n, 2 * rep)  # a of both signs, c of both signs
-        vals.append(chunk)
-        if c4 > 0:
-            vals.append(np.repeat(np.int64(c4), rep))  # a = 0
+        rep = 2 if c else 1  # c of both signs
+        step = np.full(n.size, 2 * rep, dtype=np.int8)  # a of both signs
+        if c:
+            step[0] = rep  # a = 0
+        cur = an[n]
+        if (cur > _AN_MAX - step).any():
+            raise OverflowError(f"a_n passes {_AN_MAX} on the line c = {c}")
+        an[n] = cur + step
         c += 1
-    allv = np.concatenate(vals)
-    return np.bincount(allv, minlength=x + 1)
+    return an
 
 
-def remainder_scan(x: int, D: int) -> tuple[list[RemainderRow], dict]:
+def _cubefree_tables(D: int) -> tuple[np.ndarray, ...]:
+    # The cubefree d <= D ascending, and over 0..D, at those d: rho(d), the
+    # d2 of d = d1 d2^2 (d1 squarefree), rad(d), and the numerator N(d) of
+    # g(d) = N(d) / (d rad d).  Read prime by prime off one smallest-prime-
+    # factor sieve; the local values come from the scalar rules of rho and g.
+    spf = _smallest_prime_factors(D)
+    primes = np.flatnonzero(spf == np.arange(D + 1))[2:]
+    cubefree = np.ones(D + 1, dtype=bool)
+    cubefree[0] = False
+    for p in primes[primes**3 <= D].tolist():
+        cubefree[p**3 :: p**3] = False
+    ds = np.flatnonzero(cubefree)
+    # local tables at each prime p, for p || d and p^2 || d
+    rho1 = np.zeros(D + 1, dtype=np.int64)
+    rho2 = np.zeros(D + 1, dtype=np.int64)
+    num1 = np.zeros(D + 1, dtype=np.int64)
+    num2 = np.zeros(D + 1, dtype=np.int64)
+    plist = primes.tolist()
+    rho1[primes] = [_rho_prime_power(p, 1) for p in plist]
+    num1[primes] = [p + chi4(p) * (p - 1) for p in plist]
+    sq = primes[primes * primes <= D]
+    rho2[sq] = [_rho_prime_power(p, 2) for p in sq.tolist()]
+    num2[sq] = [2 if p == 2 else p + _rho_prime_power(p, 1) * (p - 1) for p in sq.tolist()]
+    rho, d2, rad, num = (np.ones(ds.size, dtype=np.int64) for _ in range(4))
+    rem = ds.copy()
+    live = np.flatnonzero(rem > 1)
+    while live.size:
+        r = rem[live]
+        p = spf[r].astype(np.int64)
+        r //= p
+        twice = r % p == 0  # p^2 || d, since d is cubefree
+        r[twice] //= p[twice]
+        rem[live] = r
+        rho[live] *= np.where(twice, rho2[p], rho1[p])
+        num[live] *= np.where(twice, num2[p], num1[p])
+        d2[live] *= np.where(twice, p, 1)
+        rad[live] *= p
+        live = live[r > 1]
+    out = []
+    for t in (rho, d2, rad, num):
+        full = np.zeros(D + 1, dtype=np.int64)
+        full[ds] = t
+        out.append(full)
+    return (ds, *out)
+
+
+# Moduli per block of the (moduli x c) grid of the main terms; the grid's
+# memory is bounded by one block, whatever D is.
+_ROW_CHUNK = 4096
+
+
+def remainder_scan(
+    x: int, D: int, timing: bool = False
+) -> tuple[list[RemainderRow], dict]:
     """Rows (d, A_d, M_d, g(d), r_d) for every cubefree d <= D, plus a
-    summary with sum |r_d| and its ratio against D^(1/4) x^(9/16)."""
+    summary with sum |r_d| and its ratio against D^(1/4) x^(9/16).
+
+    A_d sums the int8 array of a_n over the multiples of d; M_d and g(d)
+    come from tables of rho, d2, rad and N over d <= D, with
+
+        d M_d = d2 2 [sqrt x] + 2 sum_c rho_b(c^2, d) (2 [sqrt(x - c^4)] + 1),
+        rho_b(c^2, d) = (c^2, d2) rho(d / (c^4, d)) = (c^2, d2) rho(d / (c^2, d)),
+
+    for cubefree d, over the (moduli x c) grid a block of moduli at a time.  A_d, M_d_exact
+    and g are the per-modulus oracles.  timing adds the seconds of each
+    stage (a_n, tables, rows) to the summary."""
     if x < 1 or D < 1:
         raise ValueError("x and D must be positive")
     if x > 10**8:
         raise ValueError("x capped at 1e8")
     if D > x:
         raise ValueError("D must be at most x")
+    if D > 10**6:  # the rows are held in memory
+        raise ValueError("D capped at 1e6")
+    t0 = time.perf_counter()
     an = _an_array(x)
     Ax = int(an[1:].sum())
-    cubefree = np.ones(D + 1, dtype=bool)
-    k = 2
-    while k**3 <= D:
-        cubefree[k**3 :: k**3] = False
-        k += 1
-
-    def row(d: int) -> RemainderRow:
-        Ad = int(an[d::d].sum())
-        gd = g(d)
-        rd = Fraction(Ad) - gd * Ax
-        return RemainderRow(d=d, A_d=Ad, M_d=M_d(x, d), g_d=gd, r_d=float(rd))
-
-    rows = [row(d) for d in range(1, D + 1) if cubefree[d]]
+    t1 = time.perf_counter()
+    ds, rho, d2, rad, num = _cubefree_tables(D)
+    t2 = time.perf_counter()
+    root = math.isqrt(x)
+    c = np.arange(1, math.isqrt(root) + 1, dtype=np.int64)  # c^4 <= x
+    c2 = c * c
+    w = np.array([2 * math.isqrt(x - v * v) + 1 for v in c2.tolist()], dtype=np.int64)
+    rows = []
+    for lo in range(0, ds.size, _ROW_CHUNK):
+        dd = ds[lo : lo + _ROW_CHUNK]
+        col = dd[:, None]
+        # (c^4, d) = (c^2, d) on cubefree d, and the smaller gcd is the faster
+        rb = np.gcd(c2, d2[col]) * rho[col // np.gcd(c2, col)]
+        totals = 2 * root * d2[dd] + 2 * (rb @ w)
+        for d, t, n, r in zip(dd.tolist(), totals.tolist(), num[dd].tolist(), rad[dd].tolist()):
+            Ad = int(an[d::d].sum())
+            gd = Fraction(n, d * r)
+            rd = float(Fraction(Ad) - gd * Ax)
+            rows.append(RemainderRow(d=d, A_d=Ad, M_d=float(Fraction(t, d)), g_d=gd, r_d=rd))
+    t3 = time.perf_counter()
     total = math.fsum(abs(r.r_d) for r in rows)
     summary = {
         "x": x,
@@ -244,6 +325,8 @@ def remainder_scan(x: int, D: int) -> tuple[list[RemainderRow], dict]:
         "sum_abs_r": total,
         "bound_ratio": total / (D**0.25 * x**0.5625),
     }
+    if timing:
+        summary.update(a_n_s=t1 - t0, tables_s=t2 - t1, rows_s=t3 - t2)
     return rows, summary
 
 

@@ -8,10 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinsieve.arith import divisors, factorize, mobius, von_mangoldt
+from spinsieve.arith import _smallest_prime_factors, divisors, factorize, mobius, von_mangoldt
 from spinsieve.decomp import (
     SeparationTriple,
-    _smallest_prime_factors,
     gamma_minus,
     gamma_plus,
     identity_structure,

@@ -95,6 +95,20 @@ def test_cli_identities_runtime_only_under_timing():
     assert len(rows) == 7 and all(row["runtime_s"] >= 0 for row in rows)
 
 
+def test_cli_remainder_stage_times_only_under_timing():
+    args = ("remainder", "--x", "3000", "--d-max", "50", "--format", "json")
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    plain = json.loads(out)
+    code, out, _ = run_cli(*args, "--timing")
+    assert code == 0
+    timed = json.loads(out)
+    stages = ["a_n_s", "tables_s", "rows_s"]
+    assert list(timed["summary"]) == list(plain["summary"]) + stages
+    assert all(timed["summary"][k] >= 0 for k in stages)
+    assert timed["rows"] == plain["rows"]
+
+
 def test_cli_usage_errors_exit_2():
     for args in (
         ("theorem1", "--x", "1e13"),
@@ -119,6 +133,8 @@ def test_cli_usage_errors_exit_2():
         ("lattice", "--cases", "1001"),
         ("spin", "--x", "100", "--threads", "-3"),
         ("theorem1", "--x", "100", "--threads", "-3"),
+        ("remainder", "--x", "100", "--d-max", "101"),
+        ("remainder", "--x", "1e8", "--d-max", "1000001"),
     ):
         code, out, err = run_cli(*args)
         assert code == 2 and out == "", args

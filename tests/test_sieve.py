@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinsieve import arith as ar
+from spinsieve import congruences as cg
 from spinsieve import sieve as sv
 
 
@@ -225,3 +227,61 @@ def test_g_axioms():
     # Mertens-type stabilization between 1e4 and 1e5
     vals = dict(rep.mertens_tail)
     assert abs(vals[10**4] - vals[10**5]) < 0.01
+
+
+def _cubefree(d):
+    return all(e <= 2 for _, e in ar.factorize(d).factors)
+
+
+def test_remainder_scan_rows_equal_oracles():
+    # every cubefree d <= 2000, with D = min(x, 2000) and D = x; the list of x
+    # holds c^4 = x (16, 81) and its neighbours
+    for x in (1, 2, 15, 16, 17, 81, 10**4, 10**6):
+        want = [
+            (d, sv.A_d(x, d), float(sv.M_d_exact(x, d)), sv.g(d))
+            for d in range(1, min(x, 2000) + 1)
+            if _cubefree(d)
+        ]
+        for D in sorted({min(x, 2000), x}):
+            rows, summary = sv.remainder_scan(x, D)
+            head = [r for r in rows if r.d <= 2000]
+            assert [(r.d, r.A_d, r.M_d, r.g_d) for r in head] == want, (x, D)
+            assert all(r.r_d == float(Fraction(r.A_d) - r.g_d * sv.A(x)) for r in head)
+            # #{cubefree d <= D} = sum_k mu(k) [D / k^3]
+            k3 = range(1, int(D ** (1 / 3)) + 2)  # k^3 > D adds 0
+            assert summary["moduli"] == len(rows) == sum(ar.mobius(k) * (D // k**3) for k in k3)
+
+
+def test_int8_a_n_equals_scalar_a_n():
+    x = 2 * 10**5
+    an = sv._an_array(x)
+    assert an.dtype == np.int8 and an[0] == 0
+    assert an[1:].tolist() == [sv.a_n(n) for n in range(1, x + 1)]
+
+
+def test_int8_a_n_guard_raises_before_an_entry_passes_the_limit(monkeypatch):
+    x = 10**4
+    top = max(sv.a_n(n) for n in range(1, x + 1))
+    monkeypatch.setattr(sv, "_AN_MAX", top)
+    assert int(sv._an_array(x).max()) == top
+    monkeypatch.setattr(sv, "_AN_MAX", top - 1)
+    with pytest.raises(OverflowError):
+        sv._an_array(x)
+
+
+def test_cubefree_tables_equal_scalar_functions():
+    D = 20000
+    ds, rho, d2, rad, num = sv._cubefree_tables(D)
+    assert ds.tolist() == [d for d in range(1, D + 1) if _cubefree(d)]
+    for d in ds.tolist():
+        f = ar.factorize(d).factors
+        assert rho[d] == cg.rho(d), d
+        assert d2[d] == math.prod(p ** (e // 2) for p, e in f), d
+        assert rad[d] == math.prod(p for p, _ in f), d
+        assert Fraction(int(num[d]), d * int(rad[d])) == sv.g(d), d
+
+
+def test_remainder_scan_caps():
+    for x, D in ((0, 1), (10, 0), (10**8 + 1, 10), (100, 101), (10**8, 10**6 + 1)):
+        with pytest.raises(ValueError):
+            sv.remainder_scan(x, D)
