@@ -184,9 +184,17 @@ def N_brute(a: int, q: int) -> int:
     """#{(g1, g2) mod q : a g1^2 = g2^2 (mod q)} by direct counting."""
     if q < 1:
         raise ValueError("q must be positive")
-    cnt = _square_counts(q)
-    g = np.arange(q, dtype=np.int64)
-    return int(cnt[(a % q) * ((g * g) % q) % q].sum())
+    return int(_n_brute_counts(q, [a % q])[0])
+
+
+def _n_brute_counts(q: int, avals) -> np.ndarray:
+    # N_brute for each a of avals: the squares mod q with their multiplicities
+    # counted once, and every a counted against them in one pass.
+    us, uc = _square_classes(q)
+    cnt = np.zeros(q, dtype=np.int64)
+    cnt[us] = uc
+    a = np.asarray(avals, dtype=np.int64).reshape(-1, 1) % q
+    return cnt[a * us % q] @ uc
 
 
 def _divisors_phi(f: Factorization) -> list[tuple[int, int]]:
@@ -205,8 +213,21 @@ def N_formula(a: int, q: int) -> int:
     """Closed form N(a; q) = q sum_{d|q} phi(d)/d (a/d) for q odd, (a, q) = 1."""
     if q < 1 or q % 2 == 0 or math.gcd(a, q) != 1:
         raise ValueError("outside the closed form's domain: need q odd, (a, q) = 1")
-    # q phi(d)/d = (q/d) phi(d) is an integer for every d | q
-    return sum((q // d) * ph * jacobi(a % d, d) for d, ph in _divisors_phi(factorize(q)))
+    return _n_closed_forms(q, [a % q])[0]
+
+
+def _n_closed_forms(q: int, avals) -> list[int]:
+    # N_formula for each a of avals; the caller has checked the domain.  q is
+    # factorized and its divisor table built once, and each divisor d takes
+    # one Jacobi symbol per distinct residue of the a's mod d.
+    a = np.asarray(avals, dtype=np.int64)
+    total = np.zeros(len(a), dtype=np.int64)
+    for d, ph in _divisors_phi(factorize(q)):
+        res, at = np.unique(a % d, return_inverse=True)
+        chi = np.array([jacobi(r, d) for r in res.tolist()], dtype=np.int64)
+        # q phi(d)/d = (q/d) phi(d) is an integer for every d | q
+        total += (q // d) * ph * chi[at]
+    return total.tolist()
 
 
 def N_local(a: int, p: int, nu: int) -> Fraction:

@@ -11,7 +11,11 @@ term.  The zero-frequency main term is
 
 with fhat0 the radial mass of f, gamma = cos of the angle between z1 and
 z2, and E the elliptic integral int_0^inf (t^2 - 2 gamma t + 1)^(-1/2)
-t^(-1/2) dt = 4 int_0^1 (u^4 - 2 gamma u^2 + 1)^(-1/2) du.
+t^(-1/2) dt = 4 int_0^1 (u^4 - 2 gamma u^2 + 1)^(-1/2) du.  Both factors
+are closed forms: E = 2K(sqrt((1 + gamma)/2)) through the arithmetic-
+geometric mean, and fhat0 = c_w sqrt(M) with c_w an exact Gauss-Legendre
+sum over the polynomial profile.  e_gamma_fixed is the quadrature oracle
+of E.
 
 The weight profile is a fixed C^4 polynomial smoothstep product supported
 on [M/4, 4M], scaled by 1/2048 so that |frak_f^(j)| <= M^-j for j <= 4
@@ -20,6 +24,7 @@ on [M/4, 4M], scaled by 1/2048 so that |frak_f^(j)| <= M^-j for j <= 4
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -64,13 +69,31 @@ def weight_eval(M: float, u: float) -> float:
     )
 
 
-def weight_mass(M: float) -> float:
-    """Radial mass fhat0 = int_0^inf frak_f(v^2) dv (the radius integral)."""
-    from scipy.integrate import quad  # deferred: most of the package's cold import
+# Gauss-Legendre nodes per piece of the radial mass integral.  Substituting
+# v = t sqrt(M), the profile frak_f(M t^2) is a polynomial of degree 18 in t
+# on each of [1/2, 1] and [1, 2], which 16 nodes integrate exactly.
+_MASS_NODES = 16
 
-    lo, hi = math.sqrt(M) / 2.0, 2.0 * math.sqrt(M)
-    val, _ = quad(lambda v: weight_eval(M, v * v), lo, hi, epsabs=1e-12, limit=200)
-    return val
+
+@functools.cache
+def _mass_constant() -> float:
+    # c_w = int_{1/2}^{2} frak_f(M t^2) dt, the same for every M
+    x, w = np.polynomial.legendre.leggauss(_MASS_NODES)
+    total = 0.0
+    for lo, hi in ((0.5, 1.0), (1.0, 2.0)):
+        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        total += 0.5 * (hi - lo) * math.fsum(
+            wi * weight_eval(1.0, ti * ti) for wi, ti in zip(w.tolist(), t.tolist())
+        )
+    return total
+
+
+def weight_mass(M: float) -> float:
+    """Radial mass fhat0 = int_0^inf frak_f(v^2) dv = c_w sqrt(M): the profile
+    depends on u only through u/M, so v = t sqrt(M) leaves a constant c_w."""
+    if M <= 0:
+        raise ValueError("M must be positive")
+    return _mass_constant() * math.sqrt(M)
 
 
 def _direct_weights(z1: GaussianInt, z2: GaussianInt, M: float) -> dict[int, int]:
@@ -151,21 +174,22 @@ def C_param(z1: GaussianInt, z2: GaussianInt, M: float) -> float:
     return _sum_weights(_param_weights(z1, z2, M), M)
 
 
+# Arithmetic-geometric mean steps of E_gamma.  From the smallest start a
+# double allows (gamma just below 1, b = 7e-9) the means agree to rounding
+# after eight steps; further steps leave them there.
+_AGM_STEPS = 10
+
+
 def E_gamma(gamma: float) -> float:
-    """E(gamma) = 4 int_0^1 (u^4 - 2 gamma u^2 + 1)^(-1/2) du, |gamma| < 1."""
+    """E(gamma) = 4 int_0^1 (u^4 - 2 gamma u^2 + 1)^(-1/2) du, |gamma| < 1,
+    in closed form: E = 2K(k) with k^2 = (1 + gamma)/2, and
+    K(k) = pi / (2 AGM(1, sqrt(1 - k^2)))."""
     if not -1.0 < gamma < 1.0:
         raise ValueError("divergent: requires |gamma| < 1")
-    dsq = 1.0 - gamma * gamma
-
-    def f(u):
-        w = u * u - gamma
-        return 1.0 / math.sqrt(w * w + dsq)
-
-    from scipy.integrate import quad  # deferred: most of the package's cold import
-
-    val, _ = quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=400,
-                  points=[math.sqrt(max(gamma, 0.0))])
-    return 4.0 * val
+    a, b = 1.0, math.sqrt(0.5 * (1.0 - gamma))
+    for _ in range(_AGM_STEPS):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / a
 
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -187,19 +211,31 @@ def _admissible_pairs(zs: list[GaussianInt], delta_cap: int | None, limit: int |
     # The ordered pairs of candidates in the Lemma 8.4 domain, z1 in list
     # order and z2 in list order within the class of z1 mod 8, at most limit
     # of them.  delta_cap restricts |Delta|.  Candidates failing a
-    # one-argument hypothesis are dropped before any pair is formed.
+    # one-argument hypothesis are dropped before any pair is formed; then
+    # each z1 meets its whole class in one array pass.  For odd primitive
+    # z1, z2, (z1, z2) = 1 iff gcd(Re conj(z1) z2, Im conj(z1) z2) = 1: an
+    # odd rational prime divides conj(z1) z2 only when a Gaussian prime
+    # divides both, and Im conj(z1) z2 is Delta.
     zs = [z for z in zs if _lemma_84_admits(z)]
     by_class: dict[tuple[int, int], list[GaussianInt]] = {}
     for z in zs:
         by_class.setdefault((z.re % 8, z.im % 8), []).append(z)
-    pairs = (
-        (z1, z2)
-        for z1 in zs
-        for z2 in by_class[z1.re % 8, z1.im % 8]
-        if (delta_cap is None or abs(delta(z1, z2)) <= delta_cap)
-        and _lemma_84_failure(z1, z2) is None
-    )
-    return itertools.islice(pairs, limit)
+    coords = {
+        k: np.array([(z.re, z.im) for z in c], dtype=np.int64).T for k, c in by_class.items()
+    }
+
+    def pairs():
+        for z1 in zs:
+            key = (z1.re % 8, z1.im % 8)
+            re, im = coords[key]
+            det = z1.re * im - re * z1.im
+            ok = (np.gcd(z1.re * re + z1.im * im, det) == 1) & (det != 0)
+            if delta_cap is not None:
+                ok &= np.abs(det) <= delta_cap
+            z2s = map(by_class[key].__getitem__, np.flatnonzero(ok).tolist())
+            yield from zip(itertools.repeat(z1), z2s)
+
+    return itertools.islice(pairs(), limit)
 
 
 def hypothesis_pairs(

@@ -145,6 +145,14 @@ def test_N_examples():
         N_formula(5, 15)
 
 
+def test_N_brute_equals_double_loop():
+    # every a mod q, even q and a sharing a factor with q included
+    for q in range(1, 31):
+        for a in range(-1, q):
+            want = sum((a * g1 * g1 - g2 * g2) % q == 0 for g1 in range(q) for g2 in range(q))
+            assert N_brute(a, q) == want, (a, q)
+
+
 def test_N_formula_factorizes_once(monkeypatch):
     from spinsieve import arith, congruences
 

@@ -1,5 +1,6 @@
 """The g0 suite: chunked, per-|Delta| checking against the plain pair loop."""
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -81,3 +82,37 @@ def test_g0_closed_forms_reject_a_pair_of_another_class():
     assert congruences._g0_closed_forms(q, [(z1, z2)]) == [G0_formula(z1, z2)]
     with pytest.raises(ValueError):
         congruences._g0_closed_forms(q + 8, [(z1, z2)])
+
+
+def _plain_counts(bound):
+    # the counts suite one (a, q) at a time, through the per-value routes
+    checked, violations, first = 0, 0, []
+    for q in range(1, bound + 1, 2):
+        for a in range(1, q + 1):
+            if math.gcd(a, q) == 1:
+                checked += 1
+                if congruences.N_formula(a, q) != congruences.N_brute(a, q):
+                    violations += 1
+                    if len(first) < 3:
+                        first.append((a, q))
+    return checked, violations, first
+
+
+def test_counts_suite_equals_plain_loop():
+    expected = _plain_counts(300)
+    assert expected[0] > 18000
+    assert identities.run("counts", 300) == expected
+
+
+def test_counts_reports_injected_faults_in_order(monkeypatch):
+    # faults in three moduli, injected into the closed forms out of order
+    faults = {(4, 9), (2, 3), (7, 15), (1, 9)}
+    kernel = congruences._n_closed_forms
+
+    def off_by_one(q, avals):
+        return [v + ((a, q) in faults) for a, v in zip(avals, kernel(q, avals))]
+
+    monkeypatch.setattr(congruences, "_n_closed_forms", off_by_one)
+    checked, violations, first = identities.run("counts", 15)
+    assert (checked, violations) == (_plain_counts(15)[0], 4)
+    assert first == [(2, 3), (1, 9), (4, 9)]

@@ -1,12 +1,14 @@
 """Biquadratic-ellipse counts: exact parameterization, elliptic integral."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinsieve.congruences import G0_formula
-from spinsieve.gaussian import GaussianInt as G, delta, up_to_norm
+from spinsieve.congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
+from spinsieve.gaussian import GaussianInt as G, delta, ggcd, up_to_norm
 from spinsieve.lattice import (
     C0,
     C_direct,
@@ -71,6 +73,54 @@ def test_weight_mass_sanity():
     M = 100.0
     fm = weight_mass(M)
     assert 0 < fm <= 4 * M * weight_eval(M, M * 1.0001) + 4 * M / 2048.0
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _exact_mass_constant():
+    # int_{1/2}^{2} frak_1(t^2) dt in exact arithmetic: on [1/2, 1] the
+    # profile is smoothstep(x) with x = (4 t^2 - 1)/3, on [1, 2] it is
+    # smoothstep(x) with x = (4 - t^2)/3; both are polynomials in t
+    step = {5: 126, 6: -420, 7: 540, 8: -315, 9: 70}
+    total = Fraction(0)
+    for x, lo, hi in (
+        ([Fraction(-1, 3), 0, Fraction(4, 3)], Fraction(1, 2), Fraction(1)),
+        ([Fraction(4, 3), 0, Fraction(-1, 3)], Fraction(1), Fraction(2)),
+    ):
+        poly, power = [Fraction(0)], [Fraction(1)]
+        for k in range(10):
+            if k in step:
+                poly += [Fraction(0)] * (len(power) - len(poly))
+                poly = [c + step[k] * p for c, p in zip(poly, power)]
+            power = _poly_mul(power, x)
+        total += sum(c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i, c in enumerate(poly))
+    return total / 2048
+
+
+def test_weight_mass_equals_exact_scaling():
+    c_w = _exact_mass_constant()
+    for M in (1.0, 37.5, 400.0, 2500.0, 1e4):
+        want = float(c_w) * math.sqrt(M)
+        assert abs(weight_mass(M) - want) <= 1e-14 * want, M
+    with pytest.raises(ValueError):
+        weight_mass(0.0)
+
+
+def test_E_gamma_closed_form_against_fixed_rule():
+    # the AGM closed form against Gauss-Legendre; the rule loses accuracy
+    # as gamma -> 1, where the integrand peaks at u = sqrt(gamma)
+    grid = ((0.0, 1e-13), (0.3, 1e-13), (-0.6, 1e-13), (0.9, 1e-11), (0.99, 1e-9), (0.995, 1e-8))
+    for gam, tol in grid:
+        assert abs(E_gamma(gam) - e_gamma_fixed(gam, 2000)) <= tol, gam
+    # E(-1) = 4 int_0^1 du / (1 + u^2) = pi, approached from above
+    for h in (1e-3, 1e-6, 1e-9):
+        assert 0.0 <= E_gamma(-1.0 + h) - math.pi <= math.pi * h / 4, h
 
 
 def test_E_gamma_two_grids():
@@ -143,6 +193,57 @@ def test_pair_streams_equal_brute_guard_loop():
     want = _brute_pairs(box, delta_cap=300)
     assert len(want) >= 30
     assert list(box_pairs(250, 1000, 0.35, 0.45, delta_cap=300)) == want
+
+
+def _plain_pairs(zs, delta_cap, limit):
+    # the pair stream with one scalar predicate call per pair: z1 in list
+    # order, z2 in list order within the class of z1 mod 8
+    zs = [z for z in zs if _lemma_84_admits(z)]
+    by_class = {}
+    for z in zs:
+        by_class.setdefault((z.re % 8, z.im % 8), []).append(z)
+    pairs = (
+        (z1, z2)
+        for z1 in zs
+        for z2 in by_class[z1.re % 8, z1.im % 8]
+        if (delta_cap is None or abs(delta(z1, z2)) <= delta_cap)
+        and _lemma_84_failure(z1, z2) is None
+    )
+    return list(itertools.islice(pairs, limit))
+
+
+@pytest.mark.parametrize("bound", [1, 9, 50, 500, 1000])
+def test_pair_stream_equals_plain_pairs(bound):
+    want = _plain_pairs(up_to_norm(bound), None, None)
+    assert list(hypothesis_pairs(bound)) == want
+    if bound == 1000:
+        assert len(want) > 40000
+
+
+def test_pair_stream_options_equal_plain_pairs():
+    zs = up_to_norm(500, 9)
+    for delta_cap in (None, 0, 200):
+        for limit in (None, 0, 1, 25):
+            want = _plain_pairs(zs, delta_cap, limit)
+            got = list(hypothesis_pairs(500, delta_cap=delta_cap, limit=limit, min_norm=9))
+            assert got == want, (delta_cap, limit)
+    box = [z for z in up_to_norm(1000, 250) if 0.35 <= math.atan2(z.im, z.re) < 0.35 + 0.45]
+    want = _plain_pairs(box, 300, None)
+    assert len(want) >= 30
+    assert list(box_pairs(250, 1000, 0.35, 0.45, delta_cap=300)) == want
+
+
+def test_coprimality_as_rational_gcd():
+    # for odd primitive z1, z2: (z1, z2) = 1 iff gcd(Re conj(z1) z2, Im conj(z1) z2) = 1
+    zs = [z for z in up_to_norm(600) if _lemma_84_admits(z)]
+    assert len(zs) ** 2 == 583696
+    re = np.array([z.re for z in zs], dtype=np.int64)
+    im = np.array([z.im for z in zs], dtype=np.int64)
+    dot = re[:, None] * re + im[:, None] * im
+    det = re[:, None] * im - re * im[:, None]
+    coprime = np.array([[ggcd(z1, z2).norm() == 1 for z2 in zs] for z1 in zs])
+    bad = np.argwhere((np.gcd(dot, det) == 1) != coprime)
+    assert bad.size == 0, [(zs[i], zs[j]) for i, j in bad[:3]]
 
 
 def test_hypothesis_pairs_limit():

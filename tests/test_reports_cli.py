@@ -192,12 +192,17 @@ def test_cli_decomp_huge_r_runs_in_bounded_memory():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spinsieve.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    # the import and the two commands whose closed forms replaced quadrature
+    script = (
+        "import contextlib, io, sys, spinsieve.cli as cli\n"
+        "loaded = 'scipy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = (cli.main(['lattice', '--m', '400', '--bound', '100', '--cases', '3']),\n"
+        "          cli.main(['constants']))\n"
+        "print(loaded, rc, 'scipy' in sys.modules)\n"
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False (0, 0) False", proc.stderr
 
 
 def test_cli_reports_byte_identical_across_threads():

@@ -114,6 +114,11 @@ def test_constants():
     assert abs(sv.H_partial(10**6) - 4.0 / math.pi) < 0.01
 
 
+def test_kappa_rule_reaches_closed_form():
+    # the fixed Gauss-Legendre rule against Gamma(1/4)^2 / (6 sqrt(2 pi))
+    assert abs(sv.kappa() - sv.kappa_closed_form()) <= 1e-14
+
+
 def test_theorem1_hand_case():
     rep = sv.theorem1_experiment(100)
     hand = (
