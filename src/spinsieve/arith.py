@@ -14,6 +14,7 @@ probabilistic error is possible on the supported domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,26 +55,15 @@ _MR_TIERS = (
 # Largest modulus whose residues multiply exactly in int64: m * m < 2^63.
 INT64_MOD_MAX = math.isqrt((1 << 63) - 1)
 
-_small_prime_cache: np.ndarray | None = None
 
-
+@functools.cache
 def _small_primes() -> np.ndarray:
-    global _small_prime_cache
-    if _small_prime_cache is None:
-        _small_prime_cache = primes_up_to(_TRIAL_BOUND)
-    return _small_prime_cache
+    return primes_up_to(_TRIAL_BOUND)
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (sieve of Eratosthenes)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    """All primes <= n as an int64 array."""
+    return prime_range(2, n + 1)
 
 
 def _smallest_prime_factors(x: int) -> np.ndarray:
@@ -90,7 +80,9 @@ def _smallest_prime_factors(x: int) -> np.ndarray:
 
 
 def prime_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi) by a segmented sieve; memory O(hi - lo + sqrt(hi))."""
+    """Primes in [lo, hi) as an int64 array, by a segmented sieve of
+    Eratosthenes whose base primes <= sqrt(hi) come from the same sieve;
+    memory O(hi - lo + sqrt(hi))."""
     lo = max(lo, 2)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)

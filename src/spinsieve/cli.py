@@ -20,8 +20,6 @@ from .decomp import squarefree_up_to
 from .gaussian import delta
 from .reports import Report
 
-_X_MAX = 10**11
-
 
 # ---------------------------------------------------------------------------
 # commands
@@ -35,10 +33,8 @@ def _decades(x: int, checkpoints: int, least: int) -> list[int]:
 
 
 def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> Report:
-    xs = _decades(x, checkpoints, 1)
     rows = []
-    for xv in xs:
-        rep = sieve.theorem1_experiment(xv)
+    for rep in sieve.theorem1_walk(_decades(x, checkpoints, 1)):
         row = {
             "x": rep.x,
             "observed": rep.observed,
@@ -74,9 +70,8 @@ def cmd_spin(x: int, checkpoints: int, timing: bool) -> Report:
     )
 
 
-def cmd_identities(
-    suite: str, bound: int | None, cases: int, seed: int, timing: bool
-) -> Report:
+def cmd_identities(suite: str, bound: int, cases: int, seed: int, timing: bool) -> Report:
+    # bound 0 runs each suite at its own default bound
     names = list(identities.SUITES) if suite == "all" else [suite]
     rows = []
     for name in names:
@@ -96,13 +91,14 @@ def cmd_identities(
         rows.append(row)
     return Report(
         command="identities",
-        parameters={"suite": suite, "bound": bound or 0, "cases": cases, "seed": seed},
+        parameters={"suite": suite, "bound": bound, "cases": cases, "seed": seed},
         rows=rows,
         summary={"violations": sum(r["violations"] for r in rows)},
     )
 
 
 def cmd_remainder(x: int, d_max: int, timing: bool) -> Report:
+    d_max = d_max or math.isqrt(x)
     rows_raw, summary = sieve.remainder_scan(x, d_max, timing)
     rows = [
         {
@@ -164,6 +160,7 @@ def cmd_constants() -> Report:
 
 
 def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
+    decomp.identity_structure(x, r)  # checks x and r before any draw; the trials reuse it
     rng = random.Random(seed)
     support = squarefree_up_to(x)
     rows = []
@@ -200,30 +197,44 @@ def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _finite_positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+def _finite_positive(hi: float = math.inf):
+    """argparse type: a finite number in (0, hi].  Its name, which help
+    shows as %(type)s, states the range."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and 0 < value <= hi):
+            raise argparse.ArgumentTypeError(f"expected {parse.__name__}, got {text!r}")
+        return value
+
+    parse.__name__ = "a finite positive number" + (f" <= {hi}" if hi < math.inf else "")
+    return parse
 
 
-def _int_at_least(floor: int):
+def _int_in(lo: float, hi: float = math.inf):
+    """argparse type: an integer in [lo, hi], named like _finite_positive."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = floor - 1
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {text!r}")
+            value = None
+        if value is None or not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected {parse.__name__}, got {text!r}")
         return value
 
+    sides = [f"{op} {v}" for op, v in ((">=", lo), ("<=", hi)) if abs(v) < math.inf]
+    parse.__name__ = "an integer " + " and ".join(sides)
     return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # The argparse types hold the CLI's own resource caps; the x caps and
+    # every other domain are the library's, whose ValueError main reports as
+    # a usage error before any work is done.
     p = argparse.ArgumentParser(
         prog="spinsieve",
         description="Experiments and identity suites for the a^2 + b^4 machinery",
@@ -233,50 +244,58 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, threads=True):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if threads:
-            sp.add_argument("--threads", type=_int_at_least(0), default=0,
+            sp.add_argument("--threads", type=_int_in(0), default=0,
                             help="accepted for compatibility; every command runs in one thread")
 
     sp = sub.add_parser("theorem1", help="Lambda-weighted count of a^2 + b^4 <= x")
-    sp.add_argument("--x", type=_finite_positive, required=True)
-    sp.add_argument("--checkpoints", type=_int_at_least(1), default=1)
+    sp.add_argument("--x", type=_finite_positive(), required=True)
+    sp.add_argument("--checkpoints", type=_int_in(1), default=1)
     sp.add_argument("--timing", action="store_true")
+    sp.set_defaults(run=lambda a: cmd_theorem1(int(a.x), a.checkpoints, a.timing))
     common(sp)
 
     sp = sub.add_parser("spin", help="spin sum over primes p = 1 (mod 4)")
-    sp.add_argument("--x", type=_finite_positive, required=True)
-    sp.add_argument("--checkpoints", type=_int_at_least(1), default=1)
+    sp.add_argument("--x", type=_finite_positive(), required=True)
+    sp.add_argument("--checkpoints", type=_int_in(1), default=1)
     sp.add_argument("--timing", action="store_true")
+    sp.set_defaults(run=lambda a: cmd_spin(int(a.x), a.checkpoints, a.timing))
     common(sp)
 
     sp = sub.add_parser("identities", help="exhaustive/seeded identity suites")
     sp.add_argument("--suite", choices=tuple(identities.SUITES) + ("all",), default="all")
-    sp.add_argument("--bound", type=int, default=0)
-    sp.add_argument("--cases", type=_int_at_least(1), default=1000,
-                    help="random cases of the laws suite, the only suite that reads it")
+    sp.add_argument("--bound", type=_int_in(0, 10**4), default=0,
+                    help="%(type)s; 0 runs each suite at its own default")
+    sp.add_argument("--cases", type=_int_in(1, 10**5), default=1000,
+                    help="%(type)s: random cases of the laws suite, the only suite that reads it")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timing", action="store_true")
+    sp.set_defaults(run=lambda a: cmd_identities(a.suite, a.bound, a.cases, a.seed, a.timing))
     common(sp, threads=False)
 
     sp = sub.add_parser("remainder", help="sieve remainder scan r_d(x)")
-    sp.add_argument("--x", type=_finite_positive, required=True)
+    sp.add_argument("--x", type=_finite_positive(), required=True)
     sp.add_argument("--d-max", type=int, default=0)
     sp.add_argument("--timing", action="store_true")
+    sp.set_defaults(run=lambda a: cmd_remainder(int(a.x), a.d_max, a.timing))
     common(sp)
 
     sp = sub.add_parser("lattice", help="direct vs parameterized ellipse counts")
-    sp.add_argument("--m", type=_finite_positive, default=2500.0)
+    sp.add_argument("--m", type=_finite_positive(10**4), default=2500.0, help="%(type)s")
     sp.add_argument("--bound", type=int, default=200)
-    sp.add_argument("--cases", type=_int_at_least(1), default=25)
+    sp.add_argument("--cases", type=_int_in(1, 1000), default=25, help="%(type)s")
+    sp.set_defaults(run=lambda a: cmd_lattice(a.m, a.bound, a.cases))
     common(sp, threads=False)
 
     sp = sub.add_parser("constants", help="kappa, 4/pi, Euler products")
+    sp.set_defaults(run=lambda a: cmd_constants())
     common(sp, threads=False)
 
     sp = sub.add_parser("decomp", help="triple-sum and Vaughan identity trials")
-    sp.add_argument("--x", type=int, default=2000)
+    sp.add_argument("--x", type=_int_in(-math.inf, 10**6), default=2000, help="%(type)s")
     sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--cases", type=_int_at_least(1), default=5)
+    sp.add_argument("--cases", type=_int_in(1, 100), default=5, help="%(type)s")
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(run=lambda a: cmd_decomp(a.x, a.r, a.cases, a.seed))
     common(sp, threads=False)
 
     return p
@@ -285,49 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
     try:
-        if args.command == "theorem1":
-            x = int(args.x)
-            if not 1 <= x <= _X_MAX:
-                parser.error(f"--x must be in [1, {_X_MAX}]")
-            report = cmd_theorem1(x, args.checkpoints, args.timing)
-        elif args.command == "spin":
-            x = int(args.x)
-            if not 1 <= x <= 10**9:
-                parser.error("--x must be in [1, 1e9]")
-            report = cmd_spin(x, args.checkpoints, args.timing)
-        elif args.command == "identities":
-            if args.bound > 10**4:
-                parser.error("--bound must be at most 1e4")
-            if args.cases > 10**5:
-                parser.error("--cases must be at most 1e5")
-            report = cmd_identities(
-                args.suite, args.bound or None, args.cases, args.seed, args.timing
-            )
-        elif args.command == "remainder":
-            x = int(args.x)
-            if not 1 <= x <= 10**8:
-                parser.error("--x must be in [1, 1e8]")
-            report = cmd_remainder(x, args.d_max or math.isqrt(x), args.timing)
-        elif args.command == "lattice":
-            if args.m > 10**4:
-                parser.error("--m must be in (0, 1e4]")
-            if args.cases > 1000:
-                parser.error("--cases must be at most 1000")
-            report = cmd_lattice(args.m, args.bound, args.cases)
-        elif args.command == "constants":
-            report = cmd_constants()
-        elif args.command == "decomp":
-            if args.x < 1 or args.r < 2:
-                parser.error("--x >= 1 and --r >= 2 required")
-            if args.x > 10**6:
-                parser.error("--x must be in [1, 1e6]")
-            if args.cases > 100:
-                parser.error("--cases must be at most 100")
-            report = cmd_decomp(args.x, args.r, args.cases, args.seed)
-        else:  # pragma: no cover
-            parser.error("unknown command")
+        report = args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
     violations = report.summary.get("violations", 0)

@@ -411,7 +411,6 @@ def root_to_representation(nu: int, d: int) -> tuple[int, int]:
         return 0, 1
     # Cornacchia descent: the first Euclid remainder below sqrt(d) is a leg.
     a, b = d, nu
-    bound = math.isqrt(d)
     while b * b > d:
         a, b = b, a % b
     leg1 = b

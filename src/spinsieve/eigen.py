@@ -121,9 +121,7 @@ def lambda0(n: int) -> int:
     total = 0
     for r in range(1, math.isqrt(n) + 1, 2):
         s2 = n - r * r
-        if s2 <= 0:
-            if s2 == 0:
-                pass  # s must be positive
+        if s2 <= 0:  # s must be positive
             continue
         s = math.isqrt(s2)
         if s * s == s2:

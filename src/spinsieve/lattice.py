@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
-from .gaussian import GaussianInt, delta, rational_residue, up_to_norm
+from .gaussian import GaussianInt, _isqrt_vec, delta, rational_residue, up_to_norm
 from .sieve import zweight
 
 __all__ = [
@@ -107,14 +107,9 @@ def _direct_weights(z1: GaussianInt, z2: GaussianInt, M: float) -> dict[int, int
     b1 = uu * z1.re + vv * z1.im  # Re(conj(w) z1)
     b2 = uu * z2.re + vv * z2.im
 
-    def zw(b):
-        w = np.zeros(b.shape, dtype=np.int64)
-        nonneg = b >= 0
-        r = np.zeros_like(b)
-        r[nonneg] = np.sqrt(b[nonneg].astype(np.float64)).astype(np.int64)
-        for rr in (r - 1, r, r + 1):  # guard float isqrt drift
-            w = np.where(nonneg & (rr >= 0) & (rr * rr == b), np.where(b > 0, 2, 1), w)
-        return w
+    def zw(b):  # zweight over an array; |b| <= 2R|z| is far below 2^53
+        r = _isqrt_vec(np.maximum(b, 0))
+        return np.where(r * r == b, np.where(b > 0, 2, 1), 0)
 
     wgt = zw(b1) * zw(b2)
     keep = wgt > 0
@@ -192,16 +187,17 @@ def E_gamma(gamma: float) -> float:
     return math.pi / a
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # numpy loads np.polynomial on first use, so the lookup stays in the call
+    return np.polynomial.legendre.leggauss(n)
 
 
 def e_gamma_fixed(gamma: float, n: int) -> float:
     """Independent fixed-order Gauss-Legendre evaluation of E(gamma)."""
     if not -1.0 < gamma < 1.0:
         raise ValueError("divergent: requires |gamma| < 1")
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _leggauss_cache[n]
+    x, w = _leggauss(n)
     u = 0.5 * (x + 1.0)
     vals = 1.0 / np.sqrt((u * u - gamma) ** 2 + (1.0 - gamma * gamma))
     return float(4.0 * 0.5 * np.dot(w, vals))

@@ -39,12 +39,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, bool) or isinstance(v, (int, float, str)) or v is None:
-        return v
-    return str(v)
-
-
 @dataclass
 class Report:
     command: str
@@ -67,12 +61,13 @@ class Report:
     def to_json(self) -> str:
         obj = {
             "command": self.command,
-            "parameters": {k: _jsonable(v) for k, v in self.parameters.items()},
-            "rows": [{k: _jsonable(v) for k, v in r.items()} for r in self.rows],
-            "summary": {k: _jsonable(v) for k, v in self.summary.items()},
+            "parameters": self.parameters,
+            "rows": self.rows,
+            "summary": self.summary,
             "schema_version": self.schema_version,
         }
-        return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+        # a value JSON has no type for (a Fraction, a numpy integer) is written as its str
+        return json.dumps(obj, indent=2, default=str) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ __all__ = [
     "kappa",
     "kappa_closed_form",
     "H_partial",
+    "theorem1_walk",
     "theorem1_experiment",
     "factorization_identity_check",
     "g_axioms_report",
@@ -312,9 +314,9 @@ def remainder_scan(
         totals = 2 * root * d2[dd] + 2 * (rb @ w)
         for d, t, n, r in zip(dd.tolist(), totals.tolist(), num[dd].tolist(), rad[dd].tolist()):
             Ad = int(an[d::d].sum())
-            gd = Fraction(n, d * r)
-            rd = float(Fraction(Ad) - gd * Ax)
-            rows.append(RemainderRow(d=d, A_d=Ad, M_d=float(Fraction(t, d)), g_d=gd, r_d=rd))
+            # int true division rounds the exact quotient once, as float(Fraction) does
+            rd = (Ad * d * r - n * Ax) / (d * r)
+            rows.append(RemainderRow(d=d, A_d=Ad, M_d=t / d, g_d=Fraction(n, d * r), r_d=rd))
     t3 = time.perf_counter()
     total = math.fsum(abs(r.r_d) for r in rows)
     summary = {
@@ -458,39 +460,48 @@ def _lambda_block(
     return obs, pairs
 
 
-def theorem1_experiment(x: int) -> ExperimentReport:
-    """Observed sum of Lambda(a^2 + b^4) over positive a, b (pairs counted
-    with multiplicity, prime powers included) against (4/pi) kappa x^(3/4).
+def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
+    """One ExperimentReport per x of xs: the observed sum of Lambda(a^2 + b^4)
+    over positive a, b (pairs counted with multiplicity, prime powers
+    included) against (4/pi) kappa x^(3/4).  The whole list is checked
+    before the first sieve; each x is then sieved and timed on its own.
 
     The prime values come from the root sieve of _RootSieve over the primes
     <= sqrt(x), with no primality test per value; the prime powers p^k,
     k >= 2, from a table of them.  Memory is O(sqrt(x))."""
-    if x < 1:
+    xs = list(xs)
+    if any(x < 1 for x in xs):
         raise ValueError("x must be positive")
-    if x > 10**11:
+    if any(x > 10**11 for x in xs):
         raise ValueError("x capped at 1e11")
-    t0 = time.perf_counter()
-    primes = primes_up_to(math.isqrt(x))
-    pp, pp_logs = _prime_power_table(x, primes)
-    root_sieve = _RootSieve(x, primes)
-    bmax = 1
-    while (bmax + 1) ** 4 <= x:
-        bmax += 1
-    # Each block of b-lines sums its own lines, then fsum adds the blocks:
-    # this order fixes the last digits of observed.
-    parts = [_lambda_block(x, lo, hi, root_sieve, pp, pp_logs)
-             for lo, hi in split_range(1, bmax + 1, bmax // 8 + 1)]
-    observed = math.fsum(p[0] for p in parts)
-    pairs = sum(p[1] for p in parts)
-    predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75
-    return ExperimentReport(
-        x=x,
-        observed=observed,
-        predicted=predicted,
-        ratio=observed / predicted,
-        runtime_seconds=time.perf_counter() - t0,
-        pair_count=pairs,
-    )
+    for x in xs:
+        t0 = time.perf_counter()
+        primes = primes_up_to(math.isqrt(x))
+        pp, pp_logs = _prime_power_table(x, primes)
+        root_sieve = _RootSieve(x, primes)
+        bmax = 1
+        while (bmax + 1) ** 4 <= x:
+            bmax += 1
+        # Each block of b-lines sums its own lines, then fsum adds the blocks:
+        # this order fixes the last digits of observed.
+        parts = [_lambda_block(x, lo, hi, root_sieve, pp, pp_logs)
+                 for lo, hi in split_range(1, bmax + 1, bmax // 8 + 1)]
+        observed = math.fsum(p[0] for p in parts)
+        predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75
+        yield ExperimentReport(
+            x=x,
+            observed=observed,
+            predicted=predicted,
+            ratio=observed / predicted,
+            runtime_seconds=time.perf_counter() - t0,
+            pair_count=sum(p[1] for p in parts),
+        )
+
+
+def theorem1_experiment(x: int) -> ExperimentReport:
+    """The one-checkpoint theorem1_walk."""
+    (report,) = theorem1_walk([x])
+    return report
 
 
 def factorization_identity_check(m: int, n: int) -> bool:

@@ -200,6 +200,15 @@ def test_sqrt_mod_exhaustive():
     assert powers == 1280
 
 
+def test_primes_up_to_every_small_n():
+    # primes_up_to is the segmented sieve from 2, whose base primes come from itself
+    flags = [ar.is_prime(n) for n in range(3000)]
+    for n in range(-2, 3000):
+        ps = ar.primes_up_to(n)
+        assert ps.dtype == np.int64, n
+        assert ps.tolist() == [p for p in range(max(n + 1, 0)) if flags[p]], n
+
+
 def test_prime_range_matches_primes_up_to():
     table = ar.primes_up_to(3000).tolist()
     for lo in (-5, 0, 1, 2, 3, 4, 97, 1000, 2999):

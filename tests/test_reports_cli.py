@@ -7,6 +7,8 @@ import json
 import resource
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -43,12 +45,13 @@ def test_report_json_schema():
         command="demo",
         parameters={"x": 1},
         rows=[{"a": 1}],
-        summary={"ok": True},
+        summary={"ok": True, "g": Fraction(1, 3)},
     )
     obj = json.loads(rep.to_json())
     jsonschema.validate(obj, REPORT_SCHEMA)
     assert obj["schema_version"] == 1
     assert obj["rows"] == [{"a": 1}]
+    assert obj["summary"] == {"ok": True, "g": "1/3"}  # no JSON type: written as its str
 
 
 def test_cli_constants():
@@ -135,8 +138,29 @@ def test_cli_usage_errors_exit_2():
         ("theorem1", "--x", "100", "--threads", "-3"),
         ("remainder", "--x", "100", "--d-max", "101"),
         ("remainder", "--x", "1e8", "--d-max", "1000001"),
+        ("theorem1", "--x", "0.5"),
+        ("remainder", "--x", "0.5"),
+        ("identities", "--bound", "-1"),
+        ("lattice", "--m", "10001"),
+        ("decomp", "--r", "1"),
     ):
         code, out, err = run_cli(*args)
+        assert code == 2 and out == "", args
+        assert "usage:" in err and "Traceback" not in err, args
+
+
+def test_cli_library_caps_refuse_before_any_work():
+    # The x caps are the library's.  theorem1 checks its whole checkpoint list
+    # first: sieving 1e9, 1e10 and 1e11 before the 1e12 raised takes about 4 s.
+    for args in (
+        ("theorem1", "--x", "1e12", "--checkpoints", "4"),
+        ("spin", "--x", "2e9", "--checkpoints", "3"),
+        ("remainder", "--x", "2e8"),
+        ("decomp", "--x", "1000000", "--r", "1"),
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(*args)
+        assert time.perf_counter() - t0 < 2.0, args
         assert code == 2 and out == "", args
         assert "usage:" in err and "Traceback" not in err, args
 

@@ -144,6 +144,19 @@ def test_theorem1_summation_order_pinned():
         assert rep.observed == observed and rep.pair_count == pairs, x
 
 
+def test_theorem1_walk_rows_equal_one_checkpoint_runs(monkeypatch):
+    xs = [10, 1000, 10**5]
+    for x, rep in zip(xs, sv.theorem1_walk(xs), strict=True):
+        one = sv.theorem1_experiment(x)
+        assert (rep.x, rep.observed, rep.ratio, rep.pair_count) == (
+            x, one.observed, one.ratio, one.pair_count)
+    # the whole list is checked before the first sieve is built
+    monkeypatch.setattr(sv, "_RootSieve", None)
+    for xs in ([10, 10**11 + 1], [0, 10], [10**12]):
+        with pytest.raises(ValueError):
+            next(sv.theorem1_walk(xs))
+
+
 def _lines(x):
     """(b, amax) for every b-line of a^2 + b^4 <= x with a, b >= 1."""
     b = 1
