@@ -13,12 +13,7 @@ That defect is what converts spin sums into character sums.
 """
 
 from spinsieve.gaussian import GaussianInt as G
-from spinsieve.symbols import (
-    QuarticValue,
-    dirichlet_symbol,
-    epsilon_factor,
-    jacobi_kubota,
-)
+from spinsieve.symbols import dirichlet_symbol, epsilon_factor, jacobi_kubota
 
 w = G(-1, 2)  # primary primitive, norm 5
 print(f"character table of xi_w for w = {w} (q = {w.norm()}):")
@@ -42,8 +37,7 @@ for w1, z1 in ((G(-1, 2), G(3, 2)), (G(1, 4), G(5, 2)), (G(3, -2), G(-1, 4))):
     lhs = jacobi_kubota(w1 * z1)
     ds = dirichlet_symbol(z1, w1)
     eps = epsilon_factor(w1, z1)
-    rhs = (QuarticValue.from_sign(eps) * jacobi_kubota(w1) * jacobi_kubota(z1)
-           * QuarticValue.from_sign(ds))
+    rhs = G(eps * ds, 0) * jacobi_kubota(w1) * jacobi_kubota(z1)
     print(f"  [{w1} * {z1}] = {complex(lhs)}   "
           f"eps={eps:+d} [w][z](z/w) = {complex(rhs)}   "
           f"{'ok' if lhs == rhs else 'MISMATCH'}")

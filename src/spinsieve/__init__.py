@@ -43,7 +43,6 @@ from .gaussian import (
     two_squares,
 )
 from .symbols import (
-    QuarticValue,
     dirichlet_symbol,
     dirichlet_symbol_via_root,
     epsilon_factor,

@@ -175,11 +175,6 @@ def n_sqrt(a: int, b: int) -> int:
     return count
 
 
-def _square_counts(q: int) -> np.ndarray:
-    g = np.arange(q, dtype=np.int64)
-    return np.bincount((g * g) % q, minlength=q)
-
-
 def N_brute(a: int, q: int) -> int:
     """#{(g1, g2) mod q : a g1^2 = g2^2 (mod q)} by direct counting."""
     if q < 1:
@@ -251,10 +246,12 @@ def N2_brute(a: int, b: int, q: int) -> int:
     """#{(g1, g2) mod q : a g1^2 = b g2^2 (mod q)}."""
     if q < 1:
         raise ValueError("q must be positive")
-    cnt = _square_counts(q)
-    ca = np.bincount(np.arange(q, dtype=np.int64) * (a % q) % q, weights=cnt, minlength=q)
-    cb = np.bincount(np.arange(q, dtype=np.int64) * (b % q) % q, weights=cnt, minlength=q)
-    return int(round(float(np.dot(ca, cb))))
+    # ca[x] = #{g : a g^2 = x (mod q)}, cb likewise; N2 = sum_x ca[x] cb[x]
+    us, uc = _square_classes(q)
+    ca, cb = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+    np.add.at(ca, us * (a % q) % q, uc)
+    np.add.at(cb, us * (b % q) % q, uc)
+    return int(ca @ cb)
 
 
 _G_SUM_CAP = 4096

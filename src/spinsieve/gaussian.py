@@ -68,6 +68,9 @@ class GaussianInt:
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
 
+    def __complex__(self) -> complex:
+        return complex(self.re, self.im)
+
     def __repr__(self) -> str:
         return f"({self.re}{self.im:+}i)"
 

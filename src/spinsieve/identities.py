@@ -24,7 +24,6 @@ from .gaussian import (
     rational_residue,
     up_to_norm,
 )
-from .symbols import QUARTIC_ZERO, QuarticValue
 
 __all__ = ["SUITES", "run", "primary_primitive"]
 
@@ -39,22 +38,16 @@ def multiplier(bound: int, cases: int, rng: random.Random):
     with the sign form of eps wherever it is defined."""
     ws = primary_primitive(bound)
     zs = [z for z in up_to_norm(bound) if z.re % 2 and z.im % 2 == 0]
+    jkzs = [symbols.jacobi_kubota(z) for z in zs]
     t = Tally()
     for w in ws:
         jkw = symbols.jacobi_kubota(w)
-        for z in zs:
+        for z, jkz in zip(zs, jkzs):
             if w.re * z.re - w.im * z.im == 0:
                 continue
             ds = symbols.dirichlet_symbol(z, w)
             eps = symbols.epsilon_factor(w, z)
-            rhs = (
-                QuarticValue.from_sign(eps)
-                * jkw
-                * symbols.jacobi_kubota(z)
-                * QuarticValue.from_sign(ds)
-                if ds
-                else QUARTIC_ZERO
-            )
+            rhs = GaussianInt(eps * ds, 0) * jkw * jkz
             t.case(symbols.jacobi_kubota(w * z) == rhs, "multiplier rule", w, z)
             if w.im and z.re and eps != symbols.epsilon_factor_sign_form(w, z):
                 t.fail("epsilon sign form", w, z)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
 from .gaussian import GaussianInt, _isqrt_vec, delta, rational_residue, up_to_norm
-from .sieve import zweight
 
 __all__ = [
     "weight_eval",

@@ -10,20 +10,18 @@ for w primary primitive and z = 1 (mod 2),
     [wz] = eps(w, z) [w] [z] (z/w),
 
 where eps = +-1 depends only on signs (the multiplier rule).  All symbol
-arithmetic here is exact; quartic values are a five-element enumeration,
-never floating point.
+arithmetic here is exact; quartic values are Gaussian units, never
+floating point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import jacobi, jacobi_vec
 from .gaussian import (
+    _UNITS,
     GaussianInt,
-    ONE,
     conj,
     ggcd,
     is_primary,
@@ -34,12 +32,6 @@ from .gaussian import (
 )
 
 __all__ = [
-    "QuarticValue",
-    "QUARTIC_ZERO",
-    "QUARTIC_ONE",
-    "QUARTIC_I",
-    "QUARTIC_MINUS_ONE",
-    "QUARTIC_MINUS_I",
     "dirichlet_symbol",
     "dirichlet_symbol_via_root",
     "jacobi_kubota",
@@ -48,42 +40,6 @@ __all__ = [
     "spin_vec",
     "primary_gcd_cofactor",
 ]
-
-
-@dataclass(frozen=True)
-class QuarticValue:
-    """Exact element of {0, 1, i, -1, -i} with its own multiplication."""
-
-    re: int
-    im: int
-
-    def __post_init__(self):
-        if (self.re, self.im) not in {(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)}:
-            raise ValueError("not a fourth root of unity or zero")
-
-    def __mul__(self, other: "QuarticValue") -> "QuarticValue":
-        return QuarticValue(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    @classmethod
-    def from_i_power(cls, k: int) -> "QuarticValue":
-        return (QUARTIC_ONE, QUARTIC_I, QUARTIC_MINUS_ONE, QUARTIC_MINUS_I)[k % 4]
-
-    @classmethod
-    def from_sign(cls, s: int) -> "QuarticValue":
-        return (QUARTIC_MINUS_ONE, QUARTIC_ZERO, QUARTIC_ONE)[s + 1]
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
-QUARTIC_ZERO = QuarticValue(0, 0)
-QUARTIC_ONE = QuarticValue(1, 0)
-QUARTIC_I = QuarticValue(0, 1)
-QUARTIC_MINUS_ONE = QuarticValue(-1, 0)
-QUARTIC_MINUS_I = QuarticValue(0, -1)
 
 
 def _require_primary_primitive(w: GaussianInt) -> int:
@@ -114,18 +70,22 @@ def dirichlet_symbol_via_root(z: GaussianInt, q: int, omega: int) -> int:
     return jacobi((z.re + omega * z.im) % q, q)
 
 
-def jacobi_kubota(z: GaussianInt) -> QuarticValue:
-    """[z] = i^((r-1)/2) (s/|r|) for z = r + is with r odd.
-
-    Zero exactly when z is not primitive (for r = +-1 the symbol (s/1) = 1).
+def jacobi_kubota(z: GaussianInt) -> GaussianInt:
+    """[z] = i^((r-1)/2) (s/|r|) for z = r + is with r odd: a Gaussian unit,
+    or zero exactly when z is not primitive (for r = +-1, (s/1) = 1).
     """
     r, s = z.re, z.im
     if r % 2 == 0:
         raise ValueError("real part must be odd")
     j = jacobi(s, abs(r))
-    if j == 0:
-        return QUARTIC_ZERO
-    return QuarticValue.from_i_power((r - 1) // 2) * QuarticValue.from_sign(j)
+    u = _UNITS[(r - 1) // 2 % 4]  # i^((r-1)/2); _UNITS runs i^0 .. i^3
+    return GaussianInt(j * u.re, j * u.im)
+
+
+def _hil(x: int, y: int) -> int:
+    # Hilbert symbol (x, y)_inf; unlike arith.hilbert_infinity, a zero
+    # entry (an axis point) counts as positive
+    return -1 if (x < 0 and y < 0) else 1
 
 
 def epsilon_factor(w: GaussianInt, z: GaussianInt) -> int:
@@ -139,17 +99,9 @@ def epsilon_factor(w: GaussianInt, z: GaussianInt) -> int:
     a = u * r - v * s  # Re(w z)
     if a == 0:
         raise ValueError("degenerate: Re(wz) = 0")
-
-    def hil(x, y):
-        if x == 0 or y == 0:
-            # Hilbert factors appear only with nonzero entries here; a zero
-            # coordinate (axis point) counts as positive.
-            return 1
-        return -1 if (x < 0 and y < 0) else 1
-
     if a > 0:
-        return hil(u, v) * hil(r, -v)
-    return hil(u, v) * hil(-r, v)
+        return _hil(u, v) * _hil(r, -v)
+    return _hil(u, v) * _hil(-r, v)
 
 
 def epsilon_factor_sign_form(w: GaussianInt, z: GaussianInt) -> int:
@@ -165,10 +117,9 @@ def epsilon_factor_sign_form(w: GaussianInt, z: GaussianInt) -> int:
     if a == 0:
         raise ValueError("degenerate: Re(wz) = 0")
     sgn = lambda t: (t > 0) - (t < 0)
-    huv = -1 if (u < 0 and v < 0) else 1
     rhs = 1 + sgn(v * r) - (sgn(v) - sgn(r)) * sgn(a)
     assert abs(rhs) == 2, "sign identity out of range"
-    return (rhs // 2) * huv
+    return (rhs // 2) * _hil(u, v)
 
 
 def spin(p: int) -> int:

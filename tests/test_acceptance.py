@@ -45,33 +45,8 @@ def test_a02_pair_count_closed_form():
     t0 = time.perf_counter()
     assert congruences.N_brute(1, 5) == 9 and congruences.N_brute(2, 5) == 1
     assert congruences.N_formula(1, 5) == 9 and congruences.N_formula(2, 5) == 1
-    from spinsieve.arith import divisors, euler_phi, jacobi
-
-    jt_cache: dict[int, np.ndarray] = {}
-
-    def jt(d):
-        if d not in jt_cache:
-            jt_cache[d] = np.array([jacobi(a, d) for a in range(d)], dtype=np.int64)
-        return jt_cache[d]
-
-    checked = 0
-    for q in range(1, 2001, 2):
-        cnt = np.bincount((np.arange(q, dtype=np.int64) ** 2) % q, minlength=q)
-        nz = np.nonzero(cnt)[0]
-        wts = cnt[nz].astype(np.int64)
-        a_all = np.arange(q, dtype=np.int64)
-        # brute counts for all residues at once
-        brute = np.zeros(q, dtype=np.int64)
-        for chunk in np.array_split(a_all, max(1, q // 128)):
-            idx = (chunk[:, None] * nz[None, :]) % q
-            brute[chunk] = (cnt[idx] * wts[None, :]).sum(axis=1)
-        # integer-exact closed form for all residues
-        formula = np.zeros(q, dtype=np.int64)
-        for d in divisors(q):
-            formula += (q // d) * euler_phi(d) * jt(d)[a_all % d]
-        coprime = np.gcd(a_all, q) == 1
-        assert (brute[coprime] == formula[coprime]).all(), q
-        checked += int(coprime.sum())
+    checked, violations, first = identities.run("counts", 2000)
+    assert violations == 0, first
     dt = time.perf_counter() - t0
     report(
         "A02",

@@ -10,12 +10,6 @@ from spinsieve.arith import INT64_MOD_MAX, jacobi, prime_range
 from spinsieve.gaussian import GaussianInt as G, conj, is_primitive, up_to_norm
 from spinsieve.identities import primary_primitive
 from spinsieve.symbols import (
-    QUARTIC_I,
-    QUARTIC_MINUS_I,
-    QUARTIC_MINUS_ONE,
-    QUARTIC_ONE,
-    QUARTIC_ZERO,
-    QuarticValue,
     dirichlet_symbol,
     dirichlet_symbol_via_root,
     epsilon_factor,
@@ -45,21 +39,20 @@ def jacobi_table(q):
     return t
 
 
-class TestQuarticValue:
-    def test_closed_multiplication(self):
-        vals = [QUARTIC_ZERO, QUARTIC_ONE, QUARTIC_I, QUARTIC_MINUS_ONE, QUARTIC_MINUS_I]
-        for a in vals:
-            for b in vals:
-                c = a * b
-                assert complex(c) == complex(a) * complex(b)
-
-    def test_rejects_non_units(self):
-        with pytest.raises(ValueError):
-            QuarticValue(2, 0)
-
-    def test_i_powers(self):
-        assert QuarticValue.from_i_power(-1) == QUARTIC_MINUS_I
-        assert QuarticValue.from_i_power(6) == QUARTIC_MINUS_ONE
+def test_jacobi_kubota_reference_exhaustive():
+    # [z] is 0 or a fourth root of unity, equal to i^((r-1)/2) (s/|r|) taken
+    # in complex arithmetic, for every z with odd real part and norm <= 2000
+    units = {0j, 1 + 0j, 1j, -1 + 0j, -1j}
+    checked = 0
+    for z in up_to_norm(2000):
+        r, s = z.re, z.im
+        if r % 2 == 0:
+            continue
+        jk = complex(jacobi_kubota(z))
+        assert jk in units, z
+        assert jk == 1j ** ((r - 1) // 2 % 4) * jacobi(s, abs(r)), z
+        checked += 1
+    assert checked > 3000
 
 
 def test_dirichlet_symbol_examples():
@@ -174,10 +167,10 @@ def test_primary_gcd_cofactor_examples():
 
 
 def test_jacobi_kubota_examples():
-    assert jacobi_kubota(G(1, 0)) == QUARTIC_ONE
-    assert jacobi_kubota(G(3, 2)) == QUARTIC_MINUS_I
-    assert jacobi_kubota(G(-1, 2)) == QUARTIC_MINUS_I
-    assert jacobi_kubota(G(3, 3)) == QUARTIC_ZERO  # not primitive
+    assert jacobi_kubota(G(1, 0)) == G(1, 0)
+    assert jacobi_kubota(G(3, 2)) == G(0, -1)
+    assert jacobi_kubota(G(-1, 2)) == G(0, -1)
+    assert jacobi_kubota(G(3, 3)) == G(0, 0)  # not primitive
     with pytest.raises(ValueError):
         jacobi_kubota(G(2, 1))
 
@@ -185,6 +178,8 @@ def test_jacobi_kubota_examples():
 def test_epsilon_factor_examples():
     assert epsilon_factor(G(-1, 2), G(3, 2)) == 1
     assert epsilon_factor(G(1, 2), G(3, 2)) == 1  # everything positive
+    # w in the third quadrant: (u, v)_inf = -1, and [wz] = 1 needs the -1
+    assert epsilon_factor(G(-1, -2), G(3, 2)) == -1
     with pytest.raises(ValueError):
         epsilon_factor(G(1, 1), G(1, 1))  # Re(wz) = 0
 
