@@ -1,18 +1,6 @@
-"""Shared plumbing: fixed-size range blocks and the tally of an identity
-check."""
+"""Shared plumbing: the tally of an identity check."""
 
 from __future__ import annotations
-
-
-def split_range(lo: int, hi: int, block: int):
-    """Half-open subranges [a, b) of [lo, hi) with fixed block size."""
-    out = []
-    a = lo
-    while a < hi:
-        b = min(a + block, hi)
-        out.append((a, b))
-        a = b
-    return out
 
 
 class Tally:

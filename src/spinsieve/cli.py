@@ -16,7 +16,6 @@ import sys
 import time
 
 from . import decomp, eigen, identities, lattice, sieve
-from .decomp import squarefree_up_to
 from .gaussian import delta
 from .reports import Report
 
@@ -160,9 +159,8 @@ def cmd_constants() -> Report:
 
 
 def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
-    decomp.identity_structure(x, r)  # checks x and r before any draw; the trials reuse it
+    support = decomp.identity_structure(x, r).key  # checks x and r before any draw
     rng = random.Random(seed)
-    support = squarefree_up_to(x)
     rows = []
     bad = 0
     for trial in range(cases):
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
     ):
         parser.error(f"{args.command}: these arguments leave nothing to report or check")
 
-    sys.stdout.write(report.render(args.format))
+    report.render(args.format)
     return 1 if violations else 0
 
 

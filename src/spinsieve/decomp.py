@@ -165,7 +165,9 @@ class IdentityStructure:
     sum_ell f(ell) = sum c1[ell] f(ell) + sum w2[ell] f(ell) + sum c3[ell] f(ell),
     with c1 from gamma-valid triples (d smooth, d <= D, m, n <= sqrt x),
     w2 the exact-rational gamma(q) weights of the (p, q > z) pairs, and c3
-    the (p > z >= q) pair counts."""
+    the (p > z >= q) pair counts.  key maps every squarefree ell <= x,
+    ascending, to its coefficient c1 + c3 + w2 as (c1 + c3, numerator of w2,
+    denominator of w2), one shared tuple per distinct coefficient."""
 
     x: int
     r: int
@@ -174,6 +176,7 @@ class IdentityStructure:
     c1: dict[int, int]
     w2: dict[int, Fraction]
     c3: dict[int, int]
+    key: dict[int, tuple[int, int, int]]
 
 
 def squarefree_up_to(x: int) -> list[int]:
@@ -202,6 +205,8 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
     c1: dict[int, int] = {}
     w2: dict[int, Fraction] = {}
     c3: dict[int, int] = {}
+    key: dict[int, tuple[int, int, int]] = {}
+    shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     spf = _smallest_prime_factors(x).tolist()
     for ell in squarefree_up_to(x):
         primes, n = [], ell  # ell's primes, ascending, read off the sieve
@@ -209,6 +214,7 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
             primes.append(spf[n])
             n //= spf[n]
         large = [p for p in primes if p > z]
+        cnt = 0
         if not large:  # triple-sum coefficient: ordered (d, m, n), d m n = ell
             cnt = sum(
                 gamma_plus(m, d, r) and gamma_minus(ell // (d * m), d, r)
@@ -226,7 +232,10 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
             w2[ell] = Fraction(above, len(large))
         if above < len(large):
             c3[ell] = len(large) - above
-    return IdentityStructure(x=x, r=r, z=z, D=D, c1=c1, w2=w2, c3=c3)
+        w = w2.get(ell, 0)
+        c = (cnt + len(large) - above, w.numerator, w.denominator)
+        key[ell] = shared.setdefault(c, c)
+    return IdentityStructure(x=x, r=r, z=z, D=D, c1=c1, w2=w2, c3=c3, key=key)
 
 
 def prop_24_2_check(f: dict[int, complex], x: int, r: int):
@@ -234,9 +243,9 @@ def prop_24_2_check(f: dict[int, complex], x: int, r: int):
     on squarefree ell <= x; returns (lhs, rhs, equal).  gamma(q) weights
     are exact rationals; equality is exact for integer-valued f and to
     1e-9 otherwise."""
-    if not f.keys() <= set(squarefree_up_to(x)):
+    key = identity_structure(x, r).key
+    if not f.keys() <= key.keys():
         raise ValueError("f must be supported on squarefree ell <= x")
-    struct = identity_structure(x, r)
     lhs = sum(f.values())
     exact = all(
         isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
@@ -245,8 +254,7 @@ def prop_24_2_check(f: dict[int, complex], x: int, r: int):
     # sum f per coefficient c1 + c3 + w2, so rationals are formed once per value
     sums: dict[tuple[int, int, int], complex] = {}
     for ell, v in f.items():
-        w = struct.w2.get(ell, 0)
-        c = (struct.c1.get(ell, 0) + struct.c3.get(ell, 0), w.numerator, w.denominator)
+        c = key[ell]
         sums[c] = sums.get(c, 0) + v
     rhs = sum((c + Fraction(n, d)) * s for (c, n, d), s in sums.items())
     equal = lhs == rhs if exact else abs(complex(lhs) - complex(rhs)) <= 1e-9

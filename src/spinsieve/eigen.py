@@ -22,7 +22,6 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from ._util import split_range
 from .arith import jacobi, prime_range
 from .gaussian import GaussianInt, is_primary, is_primitive, primary_reps
 from .symbols import dirichlet_symbol, jacobi_kubota, spin_vec
@@ -177,21 +176,18 @@ def lambda_prime_sum(x: int, c: int = 1, psi: HeckeCharacter = TRIVIAL) -> compl
     if x < 1 or c < 1:
         raise ValueError("x and c must be positive")
 
-    def block(lo: int, hi: int) -> complex:
-        total = 0j
-        for p in prime_range(lo, hi):
-            p = int(p)
+    # prime powers p^k <= x, swept by iterating p in segments, so the prime
+    # table is bounded by one segment
+    total = 0j
+    seg = max(1 << 15, x // 16 + 1)
+    for lo in range(2, x + 1, seg):
+        for p in prime_range(lo, min(lo + seg, x + 1)).tolist():
             lp = math.log(p)
             pk = p
             while pk <= x:
                 total += lp * quad_lambda(c * pk, psi)
                 pk *= p
-        return total
-
-    # prime powers p^k <= x are swept by iterating p in segments, each
-    # summed on its own, which fixes the rounding of the total
-    parts = [block(lo, hi) for lo, hi in split_range(2, x + 1, max(1 << 15, x // 16 + 1))]
-    return sum(parts, 0j)
+    return total
 
 
 def linear_form(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 __all__ = ["Report", "REPORT_SCHEMA"]
@@ -59,6 +60,11 @@ class Report:
         return out.getvalue()
 
     def to_json(self) -> str:
+        out = io.StringIO()
+        self._write_json(out)
+        return out.getvalue()
+
+    def _write_json(self, out) -> None:
         obj = {
             "command": self.command,
             "parameters": self.parameters,
@@ -66,12 +72,18 @@ class Report:
             "summary": self.summary,
             "schema_version": self.schema_version,
         }
-        # a value JSON has no type for (a Fraction, a numpy integer) is written as its str
-        return json.dumps(obj, indent=2, default=str) + "\n"
+        # json.dump writes each chunk as it is encoded, so a large report is
+        # never held twice; a value JSON has no type for (a Fraction, a numpy
+        # integer) is written as its str
+        json.dump(obj, out, indent=2, default=str)
+        out.write("\n")
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str) -> None:
+        """Write the report to sys.stdout as it is at the call, so that a
+        redirect of standard output takes effect."""
         if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        raise ValueError(f"unknown format {fmt!r}")
+            self._write_json(sys.stdout)
+        elif fmt == "csv":
+            sys.stdout.write(self.to_csv())
+        else:
+            raise ValueError(f"unknown format {fmt!r}")

@@ -18,6 +18,7 @@ Lambda-weighted sums are floating point (deterministic block order).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Iterable, Iterator
@@ -26,7 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import split_range
 from .arith import _smallest_prime_factors, chi4, factorize, primes_up_to, sqrt_neg_one_vec
 from .congruences import rho_b, _roots_neg_square, _rho_prime_power
 from .gaussian import gaussian_reps
@@ -363,22 +363,18 @@ def H_partial(P: int) -> float:
 
 
 def _prime_power_table(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Prime powers p^k <= x with k >= 2, with their log p weights; primes
-    # holds every prime <= sqrt(x).
+    # Prime powers p^k <= x with k >= 2, ascending, with their log p weights;
+    # primes holds every prime <= sqrt(x).
     vals, logs = [], []
-    for p in primes:
-        p = int(p)
+    for p in primes.tolist():
         v = p * p
-        lp = math.log(p)
         while v <= x:
             vals.append(v)
-            logs.append(lp)
+            logs.append(math.log(p))
             v *= p
-    order = np.argsort(np.array(vals, dtype=np.int64), kind="stable")
-    return (
-        np.array(vals, dtype=np.int64)[order],
-        np.array(logs, dtype=np.float64)[order],
-    )
+    vals = np.array(vals, dtype=np.int64)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.array(logs, dtype=np.float64)[order]
 
 
 # A residue class whose prime p has at least this many members on a line is
@@ -433,69 +429,70 @@ class _RootSieve:
         return prime
 
 
-def _lambda_block(
-    x: int, b_lo: int, b_hi: int, root_sieve: _RootSieve, pp, pp_logs
-) -> tuple[float, int]:
-    # sum of Lambda(a^2 + b^4) over b in [b_lo, b_hi), a >= 1, n <= x.
-    obs = 0.0
-    pairs = 0
-    for b in range(b_lo, b_hi):
-        b4 = b**4
-        if b4 >= x:
-            break
-        amax = math.isqrt(x - b4)
-        if amax == 0:
-            continue
-        a = np.arange(1, amax + 1, dtype=np.int64)
-        n = a * a + b4
-        pairs += amax
-        mask = root_sieve.line(b, amax)
-        obs += float(np.log(n[mask].astype(np.float64)).sum())
-        # n ascends with a, so look up the prime powers inside [n[0], n[-1]]
-        lo = np.searchsorted(pp, n[0])
-        hi = np.searchsorted(pp, n[-1], side="right")
-        window = pp[lo:hi]
-        found = n[np.searchsorted(n, window)] == window
-        obs += float(pp_logs[lo:hi][found].sum())
-    return obs, pairs
-
-
 def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
-    """One ExperimentReport per x of xs: the observed sum of Lambda(a^2 + b^4)
-    over positive a, b (pairs counted with multiplicity, prime powers
-    included) against (4/pi) kappa x^(3/4).  The whole list is checked
-    before the first sieve; each x is then sieved and timed on its own.
+    """One ExperimentReport per x of the ascending xs: the observed sum of
+    Lambda(a^2 + b^4) over positive a, b (pairs counted with multiplicity,
+    prime powers included) against (4/pi) kappa x^(3/4).  The whole list is
+    checked before any table is built.
 
-    The prime values come from the root sieve of _RootSieve over the primes
-    <= sqrt(x), with no primality test per value; the prime powers p^k,
-    k >= 2, from a table of them.  Memory is O(sqrt(x))."""
+    One sweep over the b-lines of the largest x, X, serves every x.  The
+    prime values come from the root sieve of _RootSieve over the primes
+    <= sqrt(X), with no primality test per value, and the prime powers p^k,
+    k >= 2, from a table of them; a smaller x reads the prefix
+    a <= sqrt(x - b^4) of each line.  Each report is yielded as soon as the
+    sweep passes its x, timed from the start of the sweep.  Memory is
+    O(sqrt(X))."""
     xs = list(xs)
-    if any(x < 1 for x in xs):
+    if not xs:
+        return
+    if any(b < a for a, b in zip(xs, xs[1:])):
+        raise ValueError("checkpoints must ascend")
+    if xs[0] < 1:
         raise ValueError("x must be positive")
-    if any(x > 10**11 for x in xs):
+    if xs[-1] > 10**11:
         raise ValueError("x capped at 1e11")
-    for x in xs:
-        t0 = time.perf_counter()
-        primes = primes_up_to(math.isqrt(x))
-        pp, pp_logs = _prime_power_table(x, primes)
-        root_sieve = _RootSieve(x, primes)
-        bmax = 1
-        while (bmax + 1) ** 4 <= x:
-            bmax += 1
-        # Each block of b-lines sums its own lines, then fsum adds the blocks:
-        # this order fixes the last digits of observed.
-        parts = [_lambda_block(x, lo, hi, root_sieve, pp, pp_logs)
-                 for lo, hi in split_range(1, bmax + 1, bmax // 8 + 1)]
-        observed = math.fsum(p[0] for p in parts)
-        predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75
-        yield ExperimentReport(
-            x=x,
-            observed=observed,
-            predicted=predicted,
-            ratio=observed / predicted,
-            runtime_seconds=time.perf_counter() - t0,
-            pair_count=sum(p[1] for p in parts),
-        )
+    t0 = time.perf_counter()
+    X = xs[-1]
+    primes = primes_up_to(math.isqrt(X))
+    pp, pp_logs = _prime_power_table(X, primes)
+    root_sieve = _RootSieve(X, primes)
+    a2 = np.arange(1, math.isqrt(X - 1) + 1, dtype=np.int64) ** 2  # the line b = 1, the longest
+    # Each x sums its lines in blocks of bmax(x) // 8 + 1 lines, a line as its
+    # log-sum then its prime-power sum, and fsum adds the blocks: this order
+    # fixes the last digits of observed.
+    block = [math.isqrt(math.isqrt(x)) // 8 + 1 for x in xs]
+    parts: list[list[float]] = [[] for _ in xs]
+    pairs = [0] * len(xs)
+    done = 0  # xs[:done] are reported
+    for b in itertools.count(1):
+        b4 = b**4
+        while done < len(xs) and b4 >= xs[done]:
+            x, observed = xs[done], math.fsum(parts[done])
+            predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75
+            yield ExperimentReport(x=x, observed=observed, predicted=predicted,
+                                   ratio=observed / predicted,
+                                   runtime_seconds=time.perf_counter() - t0,
+                                   pair_count=pairs[done])
+            done += 1
+        if done == len(xs):
+            return
+        amax = math.isqrt(X - b4)
+        at = np.flatnonzero(root_sieve.line(b, amax))  # a - 1 at the prime values
+        logs = np.log((a2[at] + b4).astype(np.float64))
+        # the prime powers in (b^4, amax^2 + b^4] that lie on the line
+        lo, hi = np.searchsorted(pp, [b4, a2[amax - 1] + b4], side="right")
+        rest = pp[lo:hi] - b4
+        on = a2[np.searchsorted(a2, rest)] == rest
+        pp_on, pp_on_logs = pp[lo:hi][on], pp_logs[lo:hi][on]
+        for i, x in enumerate(xs[done:], done):
+            ax = math.isqrt(x - b4)
+            k = np.searchsorted(at, ax)  # the prime values with a <= ax
+            j = np.searchsorted(pp_on, x, side="right")  # the prime powers <= x
+            if (b - 1) // block[i] == len(parts[i]):
+                parts[i].append(0.0)
+            parts[i][-1] += float(logs[:k].sum())
+            parts[i][-1] += float(pp_on_logs[:j].sum())
+            pairs[i] += ax
 
 
 def theorem1_experiment(x: int) -> ExperimentReport:

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +53,23 @@ def test_report_json_schema():
     assert obj["schema_version"] == 1
     assert obj["rows"] == [{"a": 1}]
     assert obj["summary"] == {"ok": True, "g": "1/3"}  # no JSON type: written as its str
+
+
+def test_report_json_streams_the_bytes_of_dumps(capsys):
+    # render streams into the sys.stdout of the moment, as to_json does into
+    # its buffer; both write the bytes json.dumps would
+    rep = Report(
+        command="demo",
+        parameters={"x": 1},
+        rows=[{"a": 1, "b": 0.1}, {"a": 2, "b": 1e300}],
+        summary={"g": Fraction(1, 3), "n": np.int64(7)},
+    )
+    want = json.dumps(
+        {"command": "demo", "parameters": {"x": 1}, "rows": rep.rows,
+         "summary": rep.summary, "schema_version": 1},
+        indent=2, default=str) + "\n"
+    rep.render("json")
+    assert capsys.readouterr().out == want == rep.to_json()
 
 
 def test_cli_constants():

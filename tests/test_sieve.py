@@ -145,16 +145,26 @@ def test_theorem1_summation_order_pinned():
 
 
 def test_theorem1_walk_rows_equal_one_checkpoint_runs(monkeypatch):
-    xs = [10, 1000, 10**5]
-    for x, rep in zip(xs, sv.theorem1_walk(xs), strict=True):
-        one = sv.theorem1_experiment(x)
-        assert (rep.x, rep.observed, rep.ratio, rep.pair_count) == (
-            x, one.observed, one.ratio, one.pair_count)
+    # one sweep serves every checkpoint, and a smaller x reads a prefix of
+    # each line; a one-checkpoint run reads no prefix, so it is the oracle
+    edges = sorted(b**4 + gap for b in (2, 3, 10) for gap in (0, 1, 4))
+    upto25 = list(range(1, 26))  # 25 = 3^2 + 2^4 = 5^2: a prime power at x
+    for xs in ([10, 1000, 10**5], edges, [17, 100, 100, 10**4], upto25,
+               [2**32 - 10**5, 2**32 + 10**6], [10**6, 10**7, 10**8, 10**9]):
+        for x, rep in zip(xs, sv.theorem1_walk(xs), strict=True):
+            one = sv.theorem1_experiment(x)
+            assert (rep.x, rep.observed, rep.ratio, rep.pair_count) == (
+                x, one.observed, one.ratio, one.pair_count), (xs, x)
+    for x, rep in zip(upto25, sv.theorem1_walk(upto25), strict=True):
+        values = [a * a + b**4 for b, amax in _lines(x) for a in range(1, amax + 1)]
+        direct = math.fsum(ar.von_mangoldt(n) for n in values)
+        assert rep.pair_count == len(values) and abs(rep.observed - direct) <= 1e-12 * direct, x
     # the whole list is checked before the first sieve is built
     monkeypatch.setattr(sv, "_RootSieve", None)
-    for xs in ([10, 10**11 + 1], [0, 10], [10**12]):
+    for xs in ([10, 10**11 + 1], [0, 10], [10**12], [10**5, 10]):
         with pytest.raises(ValueError):
             next(sv.theorem1_walk(xs))
+    assert list(sv.theorem1_walk([])) == []
 
 
 def _lines(x):
