@@ -1,27 +1,36 @@
 """Command-line surface: experiments and identity suites with CSV/JSON reports.
 
-Exit codes: 0 success, 1 identity violation, 2 usage error.  Every command
-runs in one thread, and reports are byte-identical across runs; wall-clock
-timing columns are emitted only under --timing so that default output
-stays reproducible.  --threads is accepted for compatibility and selects
-nothing.
+Each command returns its report and its checks, {label: (checked,
+violations, first failing inputs)}; main alone turns the checks into the
+exit code and the standard-error lines.  Exit codes: 0 success, 1 identity
+violation (each violated check writes "<command> <label>: first failing
+inputs [...]" to standard error), 2 usage error, which includes a run that
+leaves no rows or has a check of 0 cases.  Every command runs in one
+thread, and reports are byte-identical across runs; wall-clock timing
+columns are emitted only under --timing so that default output stays
+reproducible.  --threads is accepted for compatibility and selects nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 import time
 
 from . import decomp, eigen, identities, lattice, sieve
+from ._util import Tally
 from .gaussian import delta
 from .reports import Report
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (report, checks), checks mapping a label to a
+# Tally result (checked, violations, first failing inputs)
+
+Checks = dict[str, tuple[int, int, list[tuple]]]
 
 
 def _decades(x: int, checkpoints: int, least: int) -> list[int]:
@@ -31,8 +40,10 @@ def _decades(x: int, checkpoints: int, least: int) -> list[int]:
     return [x // 10**k for k in ks if x // 10**k >= least]
 
 
-def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> Report:
+def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
+    # one sweep serves every checkpoint; runtime_s is the time to reach it
     rows = []
+    t0 = time.perf_counter()
     for rep in sieve.theorem1_walk(_decades(x, checkpoints, 1)):
         row = {
             "x": rep.x,
@@ -42,17 +53,17 @@ def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> Report:
             "pair_count": rep.pair_count,
         }
         if timing:
-            row["runtime_s"] = rep.runtime_seconds
+            row["runtime_s"] = time.perf_counter() - t0
         rows.append(row)
     return Report(
         command="theorem1",
         parameters={"x": x, "checkpoints": checkpoints},
         rows=rows,
         summary={"final_ratio": rows[-1]["ratio"] if rows else 0.0},
-    )
+    ), {}
 
 
-def cmd_spin(x: int, checkpoints: int, timing: bool) -> Report:
+def cmd_spin(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
     # one sweep serves every checkpoint; runtime_s is the time to reach it
     rows = []
     t0 = time.perf_counter()
@@ -66,19 +77,20 @@ def cmd_spin(x: int, checkpoints: int, timing: bool) -> Report:
         parameters={"x": x, "checkpoints": checkpoints},
         rows=rows,
         summary={"final_sum": rows[-1]["spin_sum"] if rows else 0},
-    )
+    ), {}
 
 
-def cmd_identities(suite: str, bound: int, cases: int, seed: int, timing: bool) -> Report:
-    # bound 0 runs each suite at its own default bound
+def cmd_identities(suite: str, bound: int, cases: int, seed: int,
+                   timing: bool) -> tuple[Report, Checks]:
+    # bound 0 runs each suite at its own default bound; one check per suite
     names = list(identities.SUITES) if suite == "all" else [suite]
     rows = []
+    checks = {}
     for name in names:
         b = bound or identities.SUITES[name][1]
         t0 = time.perf_counter()
-        checked, violations, first = identities.run(name, b, cases, seed)
-        if violations:
-            sys.stderr.write(f"identities {name}: first failing inputs {first}\n")
+        checks[name] = identities.run(name, b, cases, seed)
+        checked, violations, _ = checks[name]
         row = {
             "suite": name,
             "bound": b,
@@ -93,10 +105,10 @@ def cmd_identities(suite: str, bound: int, cases: int, seed: int, timing: bool) 
         parameters={"suite": suite, "bound": bound, "cases": cases, "seed": seed},
         rows=rows,
         summary={"violations": sum(r["violations"] for r in rows)},
-    )
+    ), checks
 
 
-def cmd_remainder(x: int, d_max: int, timing: bool) -> Report:
+def cmd_remainder(x: int, d_max: int, timing: bool) -> tuple[Report, Checks]:
     d_max = d_max or math.isqrt(x)
     rows_raw, summary = sieve.remainder_scan(x, d_max, timing)
     rows = [
@@ -114,18 +126,21 @@ def cmd_remainder(x: int, d_max: int, timing: bool) -> Report:
         parameters={"x": x, "d_max": d_max},
         rows=rows,
         summary=summary,
-    )
+    ), {}
 
 
-def cmd_lattice(M: float, bound: int, cases: int) -> Report:
+def cmd_lattice(M: float, bound: int, cases: int) -> tuple[Report, Checks]:
     rows = []
     exact = 0
+    t = Tally()
     for z1, z2 in lattice.hypothesis_pairs(2500, delta_cap=bound, limit=cases, min_norm=9):
         cd = lattice.C_direct(z1, z2, M)
         cp = lattice.C_param(z1, z2, M)
         c0 = lattice.C0(z1, z2, M)
         eq = cd == cp
         exact += eq
+        if cd or cp:  # two empty counts check nothing
+            t.case(eq, z1, z2)
         rows.append(
             {
                 "z1_re": z1.re,
@@ -144,10 +159,10 @@ def cmd_lattice(M: float, bound: int, cases: int) -> Report:
         parameters={"M": M, "bound": bound, "cases": cases},
         rows=rows,
         summary={"pairs": len(rows), "exact_equal": exact},
-    )
+    ), {"c_direct=c_param": t.result()}
 
 
-def cmd_constants() -> Report:
+def cmd_constants() -> tuple[Report, Checks]:
     rows = [
         {"name": "kappa_quadrature", "value": sieve.kappa()},
         {"name": "kappa_closed_form", "value": sieve.kappa_closed_form()},
@@ -155,18 +170,18 @@ def cmd_constants() -> Report:
         {"name": "euler_product_1e6", "value": sieve.H_partial(10**6)},
         {"name": "e_gamma_0", "value": lattice.E_gamma(0.0)},
     ]
-    return Report(command="constants", parameters={}, rows=rows, summary={})
+    return Report(command="constants", parameters={}, rows=rows, summary={}), {}
 
 
-def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
+def cmd_decomp(x: int, r: int, cases: int, seed: int) -> tuple[Report, Checks]:
     support = decomp.identity_structure(x, r).key  # checks x and r before any draw
     rng = random.Random(seed)
     rows = []
-    bad = 0
+    t = Tally()
     for trial in range(cases):
         f = {ell: rng.choice((-1, 1)) for ell in support}
         lhs, rhs, eq = decomp.prop_24_2_check(f, x, r)
-        bad += not eq
+        t.case(eq, trial)
         rows.append(
             {
                 "trial": trial,
@@ -177,19 +192,17 @@ def cmd_decomp(x: int, r: int, cases: int, seed: int) -> Report:
             }
         )
     vx = min(x, 2000)
-    _, v_bad, v_first = decomp.vaughan_check(vx)
-    if v_bad:
-        sys.stderr.write(f"decomp: Vaughan identity fails first at (n, y) in {v_first}\n")
+    vaughan = decomp.vaughan_check(vx)  # its inputs are (n, y)
     return Report(
         command="decomp",
         parameters={"x": x, "r": r, "cases": cases, "seed": seed},
         rows=rows,
         summary={
-            "identity_failures": bad,
+            "identity_failures": t.violations,
             "vaughan_checked": vx,
-            "vaughan_failures": v_bad,
+            "vaughan_failures": vaughan[1],
         },
-    )
+    ), {"prop_24_2": t.result(), "vaughan": vaughan}
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +316,25 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.run(args)
+        report, checks = args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
-    violations = report.summary.get("violations", 0)
-    violations += report.summary.get("identity_failures", 0)
-    violations += report.summary.get("vaughan_failures", 0)
-    if report.command == "lattice" and report.summary["exact_equal"] != report.summary["pairs"]:
-        violations += 1
-    # a violation outranks the usage error of a suite that checked nothing
-    # or a lattice run that compared only empty counts
-    if not violations and (
-        not report.rows
-        or any(row.get("cases") == 0 for row in report.rows)
-        or report.command == "lattice" and all(row["c_direct"] == 0 for row in report.rows)
-    ):
+    failed = [(label, first) for label, (_, violations, first) in checks.items() if violations]
+    for label, first in failed:
+        sys.stderr.write(f"{args.command} {label}: first failing inputs {first}\n")
+    # a violation outranks the usage error of a run that checked nothing
+    if not failed and (not report.rows or any(checked == 0 for checked, _, _ in checks.values())):
         parser.error(f"{args.command}: these arguments leave nothing to report or check")
-
-    report.render(args.format)
-    return 1 if violations else 0
+    try:
+        report.render(args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point the stdout fd at devnull so
+        # that the interpreter's final flush stays quiet; the verdict stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

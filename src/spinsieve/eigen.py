@@ -176,10 +176,10 @@ def lambda_prime_sum(x: int, c: int = 1, psi: HeckeCharacter = TRIVIAL) -> compl
     if x < 1 or c < 1:
         raise ValueError("x and c must be positive")
 
-    # prime powers p^k <= x, swept by iterating p in segments, so the prime
-    # table is bounded by one segment
+    # prime powers p^k <= x, swept by iterating p in segments of the spin
+    # sweep's size, so the prime table is bounded by one segment
     total = 0j
-    seg = max(1 << 15, x // 16 + 1)
+    seg = _spin_segment(x)
     for lo in range(2, x + 1, seg):
         for p in prime_range(lo, min(lo + seg, x + 1)).tolist():
             lp = math.log(p)

@@ -2,14 +2,14 @@
 
 CSV: one header line, comma separated, floats printed with 12 significant
 digits, no locale dependence.  JSON: a single object
-{command, parameters, rows, summary, schema_version}.  Serialization is a
-pure function of the report contents, so identical runs produce identical
-bytes.
+{command, parameters, rows, summary, schema_version}.  Report.render is
+the one writer: it streams either format to standard output, and its bytes
+are a pure function of the report contents, so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -48,42 +48,29 @@ class Report:
     summary: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def columns(self) -> list[str]:
-        return list(self.rows[0].keys()) if self.rows else []
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        cols = self.columns()
-        out.write(",".join(cols) + "\n")
-        for row in self.rows:
-            out.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-        return out.getvalue()
-
-    def to_json(self) -> str:
-        out = io.StringIO()
-        self._write_json(out)
-        return out.getvalue()
-
-    def _write_json(self, out) -> None:
-        obj = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "summary": self.summary,
-            "schema_version": self.schema_version,
-        }
-        # json.dump writes each chunk as it is encoded, so a large report is
-        # never held twice; a value JSON has no type for (a Fraction, a numpy
-        # integer) is written as its str
-        json.dump(obj, out, indent=2, default=str)
-        out.write("\n")
-
     def render(self, fmt: str) -> None:
         """Write the report to sys.stdout as it is at the call, so that a
-        redirect of standard output takes effect."""
+        redirect of standard output takes effect.  Both formats stream: CSV
+        writes its header and then one row at a time, and json.dump each
+        chunk as it is encoded, so the text of a large report is never held
+        whole."""
+        out = sys.stdout
         if fmt == "json":
-            self._write_json(sys.stdout)
+            obj = {
+                "command": self.command,
+                "parameters": self.parameters,
+                "rows": self.rows,
+                "summary": self.summary,
+                "schema_version": self.schema_version,
+            }
+            # a value JSON has no type for (a Fraction, a numpy integer) is
+            # written as its str
+            json.dump(obj, out, indent=2, default=str)
+            out.write("\n")
         elif fmt == "csv":
-            sys.stdout.write(self.to_csv())
+            cols = list(self.rows[0]) if self.rows else []
+            out.write(",".join(cols) + "\n")
+            for row in self.rows:
+                out.write(",".join(_fmt(row[c]) for c in cols) + "\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")

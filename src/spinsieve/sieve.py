@@ -69,7 +69,6 @@ class ExperimentReport:
     observed: float
     predicted: float
     ratio: float
-    runtime_seconds: float
     pair_count: int
 
 
@@ -440,8 +439,7 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
     <= sqrt(X), with no primality test per value, and the prime powers p^k,
     k >= 2, from a table of them; a smaller x reads the prefix
     a <= sqrt(x - b^4) of each line.  Each report is yielded as soon as the
-    sweep passes its x, timed from the start of the sweep.  Memory is
-    O(sqrt(X))."""
+    sweep passes its x.  Memory is O(sqrt(X))."""
     xs = list(xs)
     if not xs:
         return
@@ -451,7 +449,6 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
         raise ValueError("x must be positive")
     if xs[-1] > 10**11:
         raise ValueError("x capped at 1e11")
-    t0 = time.perf_counter()
     X = xs[-1]
     primes = primes_up_to(math.isqrt(X))
     pp, pp_logs = _prime_power_table(X, primes)
@@ -470,9 +467,7 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
             x, observed = xs[done], math.fsum(parts[done])
             predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75
             yield ExperimentReport(x=x, observed=observed, predicted=predicted,
-                                   ratio=observed / predicted,
-                                   runtime_seconds=time.perf_counter() - t0,
-                                   pair_count=pairs[done])
+                                   ratio=observed / predicted, pair_count=pairs[done])
             done += 1
         if done == len(xs):
             return

@@ -28,27 +28,53 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_report_csv_format():
+def test_report_csv_format(capsys):
     rep = Report(
         command="demo",
         parameters={"x": 1},
         rows=[{"a": 1, "b": 0.1234567890123456, "c": True}],
         summary={},
     )
-    csv = rep.to_csv()
-    lines = csv.strip().split("\n")
+    rep.render("csv")
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,0.123456789012,1"
 
 
-def test_report_json_schema():
+def test_report_csv_streams_one_row_per_write(monkeypatch):
+    # render writes into the sys.stdout of the moment, the header and then
+    # each row on its own, so the text of a large report is never held whole
+    class Recorder:
+        def __init__(self):
+            self.calls = []
+
+        def write(self, text):
+            self.calls.append(text)
+
+    rep = Report(
+        command="demo",
+        parameters={"x": 1},
+        rows=[{"a": 1, "b": 0.1234567890123456, "c": True},
+              {"a": -2, "b": 1e300, "c": False},
+              {"a": 3, "b": 0.5, "c": True}],
+        summary={},
+    )
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    rep.render("csv")
+    assert all(call.count("\n") <= 1 for call in out.calls), out.calls
+    assert "".join(out.calls) == "a,b,c\n1,0.123456789012,1\n-2,1e+300,0\n3,0.5,1\n"
+
+
+def test_report_json_schema(capsys):
     rep = Report(
         command="demo",
         parameters={"x": 1},
         rows=[{"a": 1}],
         summary={"ok": True, "g": Fraction(1, 3)},
     )
-    obj = json.loads(rep.to_json())
+    rep.render("json")
+    obj = json.loads(capsys.readouterr().out)
     jsonschema.validate(obj, REPORT_SCHEMA)
     assert obj["schema_version"] == 1
     assert obj["rows"] == [{"a": 1}]
@@ -56,8 +82,8 @@ def test_report_json_schema():
 
 
 def test_report_json_streams_the_bytes_of_dumps(capsys):
-    # render streams into the sys.stdout of the moment, as to_json does into
-    # its buffer; both write the bytes json.dumps would
+    # render streams into the sys.stdout of the moment the bytes json.dumps
+    # would build
     rep = Report(
         command="demo",
         parameters={"x": 1},
@@ -69,7 +95,7 @@ def test_report_json_streams_the_bytes_of_dumps(capsys):
          "summary": rep.summary, "schema_version": 1},
         indent=2, default=str) + "\n"
     rep.render("json")
-    assert capsys.readouterr().out == want == rep.to_json()
+    assert capsys.readouterr().out == want
 
 
 def test_cli_constants():
@@ -96,13 +122,24 @@ def test_cli_spin():
 def test_cli_spin_checkpoint_rows_equal_spin_sum():
     from spinsieve import cli, eigen
 
-    rep = cli.cmd_spin(3 * 10**6 + 17, 5, timing=True)
+    rep, checks = cli.cmd_spin(3 * 10**6 + 17, 5, timing=True)
+    assert checks == {}
     xs = [row["x"] for row in rep.rows]
     assert xs == [300, 3000, 30000, 300001, 3000017]
     assert [(r["spin_sum"], r["prime_count"]) for r in rep.rows] == [eigen.spin_sum(x) for x in xs]
     times = [row["runtime_s"] for row in rep.rows]
     assert times == sorted(times)  # elapsed time to reach each checkpoint
     assert rep.summary["final_sum"] == rep.rows[-1]["spin_sum"]
+
+
+def test_cli_theorem1_runtime_only_under_timing():
+    from spinsieve import cli
+
+    (plain, _), (timed, checks) = (cli.cmd_theorem1(10**6, 3, t) for t in (False, True))
+    assert checks == {}
+    times = [row.pop("runtime_s") for row in timed.rows]
+    assert times == sorted(times) and times[0] >= 0  # elapsed time to reach each checkpoint
+    assert timed.rows == plain.rows and timed.summary == plain.summary
 
 
 def test_cli_identities_runtime_only_under_timing():
@@ -208,6 +245,53 @@ def test_cli_identity_violation_exit_1(monkeypatch, capsys):
     # a violation outranks the usage error of g0 and transform checking 0 cases
     assert main(["identities", "--suite", "all", "--bound", "1"]) == 1
     assert capsys.readouterr().err.strip()
+
+
+def test_cli_decomp_trial_violation_exit_1(monkeypatch, capsys):
+    from spinsieve import decomp
+
+    real = decomp.prop_24_2_check
+    calls = []
+
+    def second_trial_fails(f, x, r):
+        lhs, rhs, eq = real(f, x, r)
+        calls.append(eq)
+        return (lhs, rhs + 1, False) if len(calls) == 2 else (lhs, rhs, eq)
+
+    monkeypatch.setattr(decomp, "prop_24_2_check", second_trial_fails)
+    assert main(["decomp", "--x", "300", "--cases", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "decomp prop_24_2: first failing inputs [(1,)]\n"
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["1", "0", "1"]
+
+
+def test_cli_lattice_pair_violation_exit_1(monkeypatch, capsys):
+    from spinsieve import lattice
+
+    real = lattice.C_param
+    z1, z2 = list(lattice.hypothesis_pairs(2500, delta_cap=60, limit=3, min_norm=9))[1]
+    monkeypatch.setattr(lattice, "C_param", lambda a, b, M: real(a, b, M) + ((a, b) == (z1, z2)))
+    assert main(["lattice", "--m", "100", "--bound", "60", "--cases", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"lattice c_direct=c_param: first failing inputs [({z1!r}, {z2!r})]\n"
+    assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_closed_pipe_keeps_the_verdict(fmt):
+    # a reader that stops early, as `| head -c 100` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinsieve", "remainder", "--x", "1e6", "--d-max", "100000",
+         "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert len(head) == 100 and "Traceback" not in err and err == "", err
 
 
 def test_cli_decomp_and_lattice_exit_0():
