@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
+import numpy as np
+
 
 class Tally:
     """Cases and violations of one identity check, with its first three
@@ -15,6 +19,15 @@ class Tally:
         self.checked += 1
         if not ok:
             self.fail(*inputs)
+
+    def cases(self, ok: np.ndarray, inputs: Callable[[int], tuple]) -> None:
+        """One case per entry of the boolean array ok; inputs(i) gives the
+        inputs of entry i and is asked only for the first failures, in
+        array order."""
+        bad = np.flatnonzero(~ok)
+        self.checked += ok.size
+        self.violations += bad.size
+        self.first += [inputs(int(i)) for i in bad[: 3 - len(self.first)]]
 
     def fail(self, *inputs) -> None:
         self.violations += 1

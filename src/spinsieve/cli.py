@@ -277,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_int_in(0, 10**4), default=0,
                     help="%(type)s; 0 runs each suite at its own default")
     sp.add_argument("--cases", type=_int_in(1, 10**5), default=1000,
-                    help="%(type)s: random cases of the laws suite, the only suite that reads it")
+                    help="%(type)s: seeded cases of the laws suite, the only suite that reads it: "
+                         "max(1, cases // #w) z per w and cases (w1, w2, z) for the product laws")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timing", action="store_true")
     sp.set_defaults(run=lambda a: cmd_identities(a.suite, a.bound, a.cases, a.seed, a.timing))

@@ -161,21 +161,18 @@ def nu(ell: int, z: int) -> int:
 
 @dataclass
 class IdentityStructure:
-    """f-independent coefficient lists of the triple-sum decomposition at (x, r):
-    sum_ell f(ell) = sum c1[ell] f(ell) + sum w2[ell] f(ell) + sum c3[ell] f(ell),
-    with c1 from gamma-valid triples (d smooth, d <= D, m, n <= sqrt x),
-    w2 the exact-rational gamma(q) weights of the (p, q > z) pairs, and c3
-    the (p > z >= q) pair counts.  key maps every squarefree ell <= x,
-    ascending, to its coefficient c1 + c3 + w2 as (c1 + c3, numerator of w2,
-    denominator of w2), one shared tuple per distinct coefficient."""
+    """f-independent coefficients of the triple-sum decomposition at (x, r):
+    sum_ell f(ell) = sum_ell (a[ell] + w[ell]) f(ell).  The integer a counts
+    the gamma-valid triples (d smooth, d <= D, m, n <= sqrt x) and the
+    (p > z >= q) pairs; w sums the exact-rational gamma(q) weights of the
+    (p, q > z) pairs.  key maps every squarefree ell <= x, ascending, to
+    (a, numerator of w, denominator of w), one shared tuple per distinct
+    coefficient."""
 
     x: int
     r: int
     z: int
     D: int
-    c1: dict[int, int]
-    w2: dict[int, Fraction]
-    c3: dict[int, int]
     key: dict[int, tuple[int, int, int]]
 
 
@@ -202,9 +199,6 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
     z = kth_root(x, r * r)
     D = kth_root(x * x, r)  # floor(x^(2/r))
     sx = math.isqrt(x)
-    c1: dict[int, int] = {}
-    w2: dict[int, Fraction] = {}
-    c3: dict[int, int] = {}
     key: dict[int, tuple[int, int, int]] = {}
     shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     spf = _smallest_prime_factors(x).tolist()
@@ -223,19 +217,14 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
                 for m, _ in _signed_divisors([p for p in primes if d % p])
                 if m <= sx and ell // (d * m) <= sx
             )
-            if cnt:
-                c1[ell] = cnt
         # split-off terms over p | ell, p > z: q = ell / p has the other
-        # len(large) - 1 primes above z, so gamma(q) = 1 / len(large)
+        # len(large) - 1 primes above z, so gamma(q) = 1 / len(large); the
+        # pairs with q <= z count 1 each
         above = sum(1 for p in large if ell // p > z)
-        if above:
-            w2[ell] = Fraction(above, len(large))
-        if above < len(large):
-            c3[ell] = len(large) - above
-        w = w2.get(ell, 0)
+        w = Fraction(above, len(large) or 1)
         c = (cnt + len(large) - above, w.numerator, w.denominator)
         key[ell] = shared.setdefault(c, c)
-    return IdentityStructure(x=x, r=r, z=z, D=D, c1=c1, w2=w2, c3=c3, key=key)
+    return IdentityStructure(x=x, r=r, z=z, D=D, key=key)
 
 
 def prop_24_2_check(f: dict[int, complex], x: int, r: int):
@@ -251,7 +240,7 @@ def prop_24_2_check(f: dict[int, complex], x: int, r: int):
         isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
         for v in f.values()
     )
-    # sum f per coefficient c1 + c3 + w2, so rationals are formed once per value
+    # sum f per coefficient a + w, so rationals are formed once per value
     sums: dict[tuple[int, int, int], complex] = {}
     for ell, v in f.items():
         c = key[ell]

@@ -13,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from . import arith, congruences, lattice, symbols
 from ._util import Tally
 from .gaussian import (
@@ -64,36 +66,47 @@ def reciprocity(bound: int, cases: int, rng: random.Random):
     return t.result()
 
 
+def _root_forms(w: GaussianInt, r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi_w(r + is) as ((r + omega s)/q) and as (Re wz / q), both read from
+    one table of (a/q) over the residues a mod q = |w|^2."""
+    q = w.norm()
+    omega = (-w.im * pow(w.re, -1, q)) % q
+    table = arith.jacobi_vec(np.arange(q), q)
+    return table[(r + omega * s) % q], table[(w.re * r - w.im * s) % q]
+
+
 def laws(bound: int, cases: int, rng: random.Random):
-    """Root form of xi, norm relation and product law on seeded random z."""
+    """Root form of xi on the whole grid and on max(1, cases // #w) seeded z
+    per w, the norm relation on those z, and the product and lower-entry
+    laws on ``cases`` seeded (w1, w2, z); w primary primitive, norm <= bound."""
     ws = primary_primitive(bound)
     t = Tally()
     if not ws:
         return t.result()
-    # definition equivalence on a z-grid
+    # every z with |Re z|, |Im z| <= 50, in grid order: Re z ascending, then Im z
+    r, s = np.indices((101, 101)).reshape(2, -1) - 50
+    for w in ws:
+        via_root, via_re = _root_forms(w, r, s)
+        t.cases(via_root == via_re,
+                lambda i: ("root form", GaussianInt(int(r[i]), int(s[i])), w))
+    # the public symbols on seeded z, every w
     for w in ws:
         q = w.norm()
         omega = (-w.im * pow(w.re, -1, q)) % q
-        for _ in range(max(1, cases // max(1, len(ws)))):
+        for _ in range(max(1, cases // len(ws))):
             z = GaussianInt(rng.randrange(-50, 51), rng.randrange(-50, 51))
-            t.case(
-                symbols.dirichlet_symbol(z, w)
-                == symbols.dirichlet_symbol_via_root(z, q, omega),
-                "root form", z, w,
-            )
-    # norm relation and product law on random data
+            xi = symbols.dirichlet_symbol(z, w)
+            t.case(xi == symbols.dirichlet_symbol_via_root(z, q, omega), "root form", z, w)
+            if z != GaussianInt(0, 0):
+                t.case(
+                    xi * symbols.dirichlet_symbol(z, conj(w)) == arith.jacobi(z.norm() % q, q),
+                    "norm relation", z, w,
+                )
     for _ in range(cases):
-        w = rng.choice(ws)
+        w1, w2 = rng.choice(ws), rng.choice(ws)
         z = GaussianInt(rng.randrange(-40, 41), rng.randrange(-40, 41))
         if z == GaussianInt(0, 0):
             continue
-        q = w.norm()
-        t.case(
-            symbols.dirichlet_symbol(z, w) * symbols.dirichlet_symbol(z, conj(w))
-            == arith.jacobi(z.norm() % q, q),
-            "norm relation", z, w,
-        )
-        w1, w2 = rng.choice(ws), rng.choice(ws)
         e, cof = symbols.primary_gcd_cofactor(w1, w2)
         d = e.norm()
         lhs = symbols.dirichlet_symbol(z, w1) * symbols.dirichlet_symbol(z, w2)
@@ -165,13 +178,17 @@ def transform(bound: int, cases: int, rng: random.Random):
 
 
 def residues(bound: int, cases: int, rng: random.Random):
-    """Root counts of nu^2 + 1 = 0 and of a^2 + b^2 = 0 (mod d), d <= bound."""
+    """Root counts of nu^2 + 1 = 0 and of a^2 + b^2 = 0 (mod d), d <= bound:
+    rho(d) against the roots, then rho_b(b, d) for every b < d against one
+    count of the squares mod d, so the suite is O(bound^2)."""
     t = Tally()
     for d in range(1, bound + 1):
         t.case(len(congruences.roots_minus_one(d).roots) == congruences.rho(d), d)
-        for b in range(d):
-            brute = sum(1 for a in range(d) if (a * a + b * b) % d == 0)
-            t.case(congruences.rho_b(b, d) == brute, b, d)
+        b = np.arange(d, dtype=np.int64)
+        squares = np.bincount(b * b % d, minlength=d)  # a^2 = -b^2 has squares[-b^2] roots
+        f = arith.factorize(d)
+        formula = np.array([congruences.rho_b(v, f) for v in range(d)])
+        t.cases(formula == squares[-b * b % d], lambda v: (v, d))
     return t.result()
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinsieve import identities
 from spinsieve.arith import factorize, tau
 from spinsieve.congruences import (
     G0_brute,
@@ -58,12 +59,12 @@ def test_rho_examples():
 
 
 def test_rho_b_formula_vs_brute_exhaustive():
-    for d in range(1, 2001):
-        counts = np.bincount((np.arange(d, dtype=np.int64) ** 2) % d, minlength=d)
+    # the residues suite counts rho_b(b, factorize(d)) against the squares
+    # mod d for every b < d <= 2000; the int argument gives the same value
+    assert identities.run("residues", 2000) == (sum(d + 1 for d in range(1, 2001)), 0, [])
+    for d in range(1, 301):
         f = factorize(d)
-        for b in range(d):
-            want = int(counts[(-b * b) % d])
-            assert rho_b(b, d) == want and rho_b(b, f) == want, (b, d)
+        assert [rho_b(b, d) for b in range(d)] == [rho_b(b, f) for b in range(d)], d
 
 
 def test_rho_b_examples():

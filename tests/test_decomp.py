@@ -95,7 +95,8 @@ def test_split_off_weights_equal_nu_weights():
             for p, _ in factorize(ell).factors:
                 if p > z and ell // p > z:
                     want[ell] = want.get(ell, Fraction(0)) + Fraction(1, 1 + nu(ell // p, z))
-        assert struct.w2 == want, r
+        got = {ell: Fraction(k[1], k[2]) for ell, k in struct.key.items() if k[1]}
+        assert got == want, r
 
 
 def test_identity_random_signs():
@@ -143,21 +144,19 @@ def test_identity_real_valued():
 
 
 def test_smooth_restriction_matches_triple_sum():
-    # for f supported on z-smooth squarefree ell the triple sum alone is exact
-    x, r = 10**4, 2
-    struct = identity_structure(x, r)
-    smooth = [
-        ell
-        for ell in squarefree_up_to(x)
-        if all(p <= struct.z for p, _ in factorize(ell).factors)
-    ]
-    rng = random.Random(19)
-    f = {ell: rng.choice((-1, 1)) for ell in smooth}
-    lhs = sum(f.values())
-    rhs = sum(struct.c1.get(ell, 0) * v for ell, v in f.items())
-    assert lhs == rhs
-    # every smooth ell is hit exactly once by the triple sum
-    assert all(struct.c1.get(ell, 0) == 1 for ell in smooth)
+    # every z-smooth squarefree ell is hit exactly once by the triple sum and
+    # by no split-off term, so for f supported on them the triple sum alone
+    # is exact
+    x = 10**4
+    for r in (2, 3):
+        struct = identity_structure(x, r)
+        smooth = [
+            ell
+            for ell in squarefree_up_to(x)
+            if all(p <= struct.z for p, _ in factorize(ell).factors)
+        ]
+        assert len(smooth) == {2: 16, 3: 2}[r]  # z = 10 and z = 2
+        assert all(struct.key[ell] == (1, 0, 1) for ell in smooth), r
 
 
 def test_vaughan_identity():

@@ -1,14 +1,19 @@
-"""The g0 suite: chunked, per-|Delta| checking against the plain pair loop."""
+"""The suites against their plain loops: g0 chunked and per-|Delta|, counts
+per modulus, laws on one table per w, residues on one count of squares per d."""
 
+import ast
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinsieve import congruences, identities, lattice
+from spinsieve import arith, congruences, identities, lattice
+from spinsieve._util import Tally
 from spinsieve.congruences import G0_brute, G0_formula
 from spinsieve.gaussian import GaussianInt as G, delta
+from spinsieve.symbols import dirichlet_symbol, dirichlet_symbol_via_root
 
 
 def _plain_g0(bound):
@@ -116,3 +121,101 @@ def test_counts_reports_injected_faults_in_order(monkeypatch):
     checked, violations, first = identities.run("counts", 15)
     assert (checked, violations) == (_plain_counts(15)[0], 4)
     assert first == [(2, 3), (1, 9), (4, 9)]
+
+
+def _grid():
+    # the laws grid in its order: Re z ascending, then Im z
+    return [G(r, s) for r in range(-50, 51) for s in range(-50, 51)]
+
+
+def test_laws_grid_equals_public_symbols():
+    grid = _grid()
+    r = np.array([z.re for z in grid])
+    s = np.array([z.im for z in grid])
+    for w in identities.primary_primitive(50):
+        q = w.norm()
+        omega = (-w.im * pow(w.re, -1, q)) % q
+        via_root, via_re = identities._root_forms(w, r, s)
+        assert via_root.tolist() == [dirichlet_symbol_via_root(z, q, omega) for z in grid], w
+        assert via_re.tolist() == [dirichlet_symbol(z, w) for z in grid], w
+
+
+def test_laws_reports_injected_table_fault_in_grid_order(monkeypatch):
+    # (2/65) = 1 is read as -1: every z of a norm-65 w at which exactly one
+    # of the two forms reads residue 2 fails.  For w = 1 +- 8i both forms
+    # read the same residue, so only -7 +- 4i fail
+    q0, a0 = 65, 2
+    kernel = arith.jacobi_vec
+
+    def flipped(a, m):
+        table = kernel(a, m)
+        if m == q0:
+            table[a0] = -table[a0]
+        return table
+
+    monkeypatch.setattr(arith, "jacobi_vec", flipped)
+    ws = identities.primary_primitive(100)
+    bad = []
+    for w in ws:
+        if w.norm() != q0:
+            continue
+        omega = (-w.im * pow(w.re, -1, q0)) % q0
+        bad += [
+            ("root form", z, w)
+            for z in _grid()
+            if ((z.re + omega * z.im) % q0 == a0) != ((w * z).re % q0 == a0)
+        ]
+    assert {w for _, _, w in bad} == {G(-7, -4), G(-7, 4)}
+    checked, violations, first = identities.run("laws", 100)
+    assert checked > len(ws) * 101**2
+    assert (violations, first) == (len(bad), bad[:3])
+
+
+def _plain_residues(bound):
+    # the residues suite one (b, d) at a time: count the a with a^2 + b^2 = 0
+    t = Tally()
+    for d in range(1, bound + 1):
+        t.case(len(congruences.roots_minus_one(d).roots) == congruences.rho(d), d)
+        for b in range(d):
+            brute = sum(1 for a in range(d) if (a * a + b * b) % d == 0)
+            t.case(congruences.rho_b(b, d) == brute, b, d)
+    return t.result()
+
+
+def test_residues_suite_equals_plain_loop():
+    for bound in (1, 2, 100):
+        expected = _plain_residues(bound)
+        assert expected[0] == sum(d + 1 for d in range(1, bound + 1))
+        assert identities.run("residues", bound) == expected
+
+
+def test_residues_reports_injected_faults_in_order(monkeypatch):
+    # faults in rho_b at three moduli and in rho at one, listed out of order
+    faults = {(5, 12), (2, 7), (0, 9)}
+    rho_b, rho = congruences.rho_b, congruences.rho
+
+    def off_by_one_b(b, d):
+        n = d if isinstance(d, int) else d.n
+        return rho_b(b, d) + ((b, n) in faults)
+
+    monkeypatch.setattr(congruences, "rho_b", off_by_one_b)
+    monkeypatch.setattr(congruences, "rho", lambda d: rho(d) + (d == 9))
+    checked, violations, first = identities.run("residues", 15)
+    assert (checked, violations) == (sum(d + 1 for d in range(1, 16)), 4)
+    assert first == [(2, 7), (9,), (0, 9)]
+    assert _plain_residues(15) == (checked, violations, first)
+
+
+def test_suites_match_the_benchmark_workloads():
+    # bench/workloads.py pins the suite list and default bounds of
+    # `identities --suite all`; a suite added here must be added there too
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    pinned = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SUITE_NAMES", "DEFAULT_BOUNDS")
+    }
+    assert tuple(identities.SUITES) == pinned["SUITE_NAMES"]
+    assert {name: b for name, (_, b) in identities.SUITES.items()} == pinned["DEFAULT_BOUNDS"]

@@ -1,14 +1,13 @@
 """Character machinery: symbol values, reciprocity, multiplier rule."""
 
-import math
 import random
 
 import numpy as np
 import pytest
 
+from spinsieve import identities
 from spinsieve.arith import INT64_MOD_MAX, jacobi, prime_range
-from spinsieve.gaussian import GaussianInt as G, conj, is_primitive, up_to_norm
-from spinsieve.identities import primary_primitive
+from spinsieve.gaussian import GaussianInt as G, conj, up_to_norm
 from spinsieve.symbols import (
     dirichlet_symbol,
     dirichlet_symbol_via_root,
@@ -18,25 +17,6 @@ from spinsieve.symbols import (
     spin,
     spin_vec,
 )
-
-
-def jacobi_table(q):
-    # multiplicative fill: jacobi(a, q) for 0 <= a < q
-    if q == 1:
-        return np.ones(1, dtype=np.int8)
-    t = np.zeros(q, dtype=np.int8)
-    t[1] = 1
-    spf = np.zeros(q, dtype=np.int64)
-    for p in range(2, q):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
-    jp = {}
-    for a in range(2, q):
-        p = int(spf[a])
-        if p not in jp:
-            jp[p] = jacobi(p, q)
-        t[a] = jp[p] * t[a // p]
-    return t
 
 
 def test_jacobi_kubota_reference_exhaustive():
@@ -89,32 +69,19 @@ def test_dirichlet_symbol_via_root_examples():
 
 
 def test_definition_equivalence_heavy():
-    # three constructions of xi_w agree for all primary primitive w with
-    # norm <= 1e4, z on the grid |re|, |im| <= 50
-    rr, ss = np.meshgrid(np.arange(-50, 51), np.arange(-50, 51), indexing="ij")
-    for w in primary_primitive(10**4):
-        q = w.norm()
-        jt = jacobi_table(q)
-        u, v = w.re, w.im
-        omega = (-v * pow(u, -1, q)) % q
-        via_root = jt[(rr + omega * ss) % q]
-        via_re = jt[(u * rr - v * ss) % q]
-        assert (via_root == via_re).all(), w
-    # spot-check the tables against the public functions
-    rng = random.Random(9)
-    for w in primary_primitive(200):
-        q = w.norm()
-        omega = (-w.im * pow(w.re, -1, q)) % q
-        for _ in range(20):
-            z = G(rng.randrange(-50, 51), rng.randrange(-50, 51))
-            assert dirichlet_symbol(z, w) == dirichlet_symbol_via_root(z, q, omega)
+    # the laws suite for every primary primitive w with norm <= 1e4: the root
+    # form on the grid |re|, |im| <= 50, and 3 seeded z per w through the
+    # public symbols; 1e4 seeded product and lower-entry cases
+    checked, violations, first = identities.run("laws", 10**4, 10**4, 9)
+    assert violations == 0, first
+    assert checked > 32_510_587
 
 
 def test_periodicity_multiplicativity_exhaustive():
     # period q in both coordinates and complete multiplicativity, for all
     # primary primitive w with norm <= 2000 on grid-sampled z
     rng = random.Random(10)
-    for w in primary_primitive(2000):
+    for w in identities.primary_primitive(2000):
         q = w.norm()
         for _ in range(30):
             z1 = G(rng.randrange(-40, 41), rng.randrange(-40, 41))
@@ -125,36 +92,6 @@ def test_periodicity_multiplicativity_exhaustive():
                 dirichlet_symbol(z1 * z2, w)
                 == dirichlet_symbol(z1, w) * dirichlet_symbol(z2, w)
             )
-
-
-def test_norm_relation_exhaustive():
-    rng = random.Random(11)
-    for w in primary_primitive(2000):
-        q = w.norm()
-        wc = conj(w)
-        for _ in range(25):
-            z = G(rng.randrange(-40, 41), rng.randrange(-40, 41))
-            if z == G(0, 0):
-                continue
-            assert dirichlet_symbol(z, w) * dirichlet_symbol(z, wc) == jacobi(
-                z.norm() % q, q
-            )
-
-
-def test_product_law_random(pp2000):
-    rng = random.Random(12)
-    for _ in range(10**4):
-        w1, w2 = rng.choice(pp2000), rng.choice(pp2000)
-        z = G(rng.randrange(-40, 41), rng.randrange(-40, 41))
-        if z == G(0, 0):
-            continue
-        e, cof = primary_gcd_cofactor(w1, w2)
-        d = e.norm()
-        lhs = dirichlet_symbol(z, w1) * dirichlet_symbol(z, w2)
-        assert lhs == jacobi(z.norm() % d, d) * dirichlet_symbol(z, cof)
-        assert lhs == dirichlet_symbol(z, e) * dirichlet_symbol(
-            z, conj(e)
-        ) * dirichlet_symbol(z, cof)
 
 
 def test_primary_gcd_cofactor_examples():
@@ -202,29 +139,3 @@ def test_spin_vec_matches_spin():
     assert spin_vec(np.empty(0, dtype=np.int64)).size == 0
     with pytest.raises(ValueError):
         spin_vec([5, 4 * INT64_MOD_MAX + 1])
-
-
-def test_transform_identity_exhaustive():
-    # (z2/z1 / |Delta|) = (s1/|r1|)(s2/|r2|) under the coprimality,
-    # congruence mod 8, and 0 < r1 r2 = 1 (mod 8) hypotheses
-    from spinsieve.arith import jacobi_extended
-    from spinsieve.gaussian import delta, ggcd, rational_residue
-
-    zs = [z for z in up_to_norm(800) if z.re % 2 and z.im % 2 == 0 and is_primitive(z)]
-    checked = 0
-    for z1 in zs:
-        for z2 in zs:
-            if (z1.re - z2.re) % 8 or (z1.im - z2.im) % 8:
-                continue
-            rr = z1.re * z2.re
-            if rr <= 0 or rr % 8 != 1:
-                continue
-            d = delta(z1, z2)
-            if d == 0 or ggcd(z1, z2).norm() != 1:
-                continue
-            t = rational_residue(z1, z2, abs(d))
-            lhs = jacobi_extended(t, abs(d))
-            rhs = jacobi(z1.im, abs(z1.re)) * jacobi(z2.im, abs(z2.re))
-            assert lhs == rhs, (z1, z2)
-            checked += 1
-    assert checked > 1000
