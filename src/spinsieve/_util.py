@@ -21,11 +21,12 @@ class Tally:
             self.fail(*inputs)
 
     def cases(self, ok: np.ndarray, inputs: Callable[[int], tuple]) -> None:
-        """One case per entry of the boolean array ok; inputs(i) gives the
-        inputs of entry i and is asked only for the first failures, in
-        array order."""
+        """One case per entry of the boolean array ok, or per row when ok is
+        2-D and a row holds the checks of one case in order; each False
+        entry is one violation.  inputs(i) gives the inputs of flat entry i
+        and is asked only for the first failures, in array order."""
         bad = np.flatnonzero(~ok)
-        self.checked += ok.size
+        self.checked += len(ok)
         self.violations += bad.size
         self.first += [inputs(int(i)) for i in bad[: 3 - len(self.first)]]
 

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GaussianInt:
     re: int
     im: int

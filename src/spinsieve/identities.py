@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,43 +34,80 @@ def primary_primitive(bound: int) -> list[GaussianInt]:
     return [w for w in up_to_norm(bound) if is_primary(w) and is_primitive(w)]
 
 
+# (w, z) entries the multiplier and reciprocity suites hold at once, as
+# whole w rows (at least one); their memory is bounded by one block.
+_PAIR_BLOCK = 1 << 14
+
+
+def _coords(zs: list[GaussianInt]) -> np.ndarray:
+    """Re z and Im z of every z, as two int64 rows."""
+    return np.array([(z.re, z.im) for z in zs], dtype=np.int64).reshape(-1, 2).T
+
+
+def _row_blocks(nw: int, nz: int):
+    """(w index, z index) arrays of every (w, z) entry in row-major order,
+    max(1, _PAIR_BLOCK // nz) whole w rows at a time."""
+    rows = max(1, _PAIR_BLOCK // max(nz, 1))
+    for lo in range(0, nw, rows):
+        hi = min(nw, lo + rows)
+        yield np.repeat(np.arange(lo, hi), nz), np.tile(np.arange(nz), hi - lo)
+
+
 def multiplier(bound: int, cases: int, rng: random.Random):
     """[wz] = eps [w][z] (z/w) for primary primitive w and z = 1 (mod 2),
-    with the sign form of eps wherever it is defined."""
+    with the sign form of eps wherever it is defined; a block of w rows at
+    a time, through the array forms of the symbols."""
     ws = primary_primitive(bound)
     zs = [z for z in up_to_norm(bound) if z.re % 2 and z.im % 2 == 0]
-    jkzs = [symbols.jacobi_kubota(z) for z in zs]
+    wre, wim = _coords(ws)
+    zre, zim = _coords(zs)
+    jw_re, jw_im = symbols.jacobi_kubota_vec(wre, wim)
+    jz_re, jz_im = symbols.jacobi_kubota_vec(zre, zim)
+    kinds = ("multiplier rule", "epsilon sign form")
     t = Tally()
-    for w in ws:
-        jkw = symbols.jacobi_kubota(w)
-        for z, jkz in zip(zs, jkzs):
-            if w.re * z.re - w.im * z.im == 0:
-                continue
-            ds = symbols.dirichlet_symbol(z, w)
-            eps = symbols.epsilon_factor(w, z)
-            rhs = GaussianInt(eps * ds, 0) * jkw * jkz
-            t.case(symbols.jacobi_kubota(w * z) == rhs, "multiplier rule", w, z)
-            if w.im and z.re and eps != symbols.epsilon_factor_sign_form(w, z):
-                t.fail("epsilon sign form", w, z)
+    for iw, iz in _row_blocks(len(ws), len(zs)):
+        u, v, r, s = wre[iw], wim[iw], zre[iz], zim[iz]
+        a = u * r - v * s  # Re wz
+        keep = a != 0  # pairs with Re wz = 0 are skipped
+        iw, iz, u, v, r, s, a = (x[keep] for x in (iw, iz, u, v, r, s, a))
+        lhs_re, lhs_im = symbols.jacobi_kubota_vec(a, u * s + v * r)  # [wz]
+        eps = symbols.epsilon_factor_vec(u, v, r, s)
+        c = eps * arith.jacobi_vec(a, u * u + v * v)  # eps (z/w)
+        # eps (z/w) [w] [z], the product of units written out
+        rhs_re = c * (jw_re[iw] * jz_re[iz] - jw_im[iw] * jz_im[iz])
+        rhs_im = c * (jw_re[iw] * jz_im[iz] + jw_im[iw] * jz_re[iz])
+        ok = np.ones((a.size, 2), dtype=bool)  # per (w, z): the rule, then the sign form
+        ok[:, 0] = (lhs_re == rhs_re) & (lhs_im == rhs_im)
+        d = (v != 0) & (r != 0)  # where the sign form is defined
+        ok[d, 1] = eps[d] == symbols.epsilon_factor_vec(u[d], v[d], r[d], s[d], sign_form=True)
+        t.cases(ok, lambda i: (kinds[i % 2], ws[iw[i // 2]], zs[iz[i // 2]]))
     return t.result()
 
 
 def reciprocity(bound: int, cases: int, rng: random.Random):
-    """xi_w(z) = xi_z(w) for every pair of primary primitive w, z."""
+    """xi_w(z) = xi_z(w) for every pair of primary primitive w, z: both are
+    (Re wz / .), read against |w|^2 and |z|^2, a block of w rows at a time."""
     ws = primary_primitive(bound)
+    re, im = _coords(ws)
+    q = re * re + im * im
     t = Tally()
-    for w in ws:
-        for z in ws:
-            t.case(symbols.dirichlet_symbol(z, w) == symbols.dirichlet_symbol(w, z), w, z)
+    for iw, iz in _row_blocks(len(ws), len(ws)):
+        a = re[iw] * re[iz] - im[iw] * im[iz]  # Re wz = Re zw
+        ok = arith.jacobi_vec(a, q[iw]) == arith.jacobi_vec(a, q[iz])
+        t.cases(ok, lambda i: (ws[iw[i]], ws[iz[i]]))
     return t.result()
 
 
-def _root_forms(w: GaussianInt, r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _root_forms(
+    w: GaussianInt, r: np.ndarray, s: np.ndarray, table: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """xi_w(r + is) as ((r + omega s)/q) and as (Re wz / q), both read from
-    one table of (a/q) over the residues a mod q = |w|^2."""
+    one table of (a/q) over the residues a mod q = |w|^2, built here unless
+    the caller holds it."""
     q = w.norm()
     omega = (-w.im * pow(w.re, -1, q)) % q
-    table = arith.jacobi_vec(np.arange(q), q)
+    if table is None:
+        table = arith.jacobi_vec(np.arange(q), q)
     return table[(r + omega * s) % q], table[(w.re * r - w.im * s) % q]
 
 
@@ -85,10 +121,12 @@ def laws(bound: int, cases: int, rng: random.Random):
         return t.result()
     # every z with |Re z|, |Im z| <= 50, in grid order: Re z ascending, then Im z
     r, s = np.indices((101, 101)).reshape(2, -1) - 50
-    for w in ws:
-        via_root, via_re = _root_forms(w, r, s)
-        t.cases(via_root == via_re,
-                lambda i: ("root form", GaussianInt(int(r[i]), int(s[i])), w))
+    for q, same_norm in itertools.groupby(ws, GaussianInt.norm):  # one table per norm
+        table = arith.jacobi_vec(np.arange(q), q)
+        for w in same_norm:
+            via_root, via_re = _root_forms(w, r, s, table)
+            t.cases(via_root == via_re,
+                    lambda i: ("root form", GaussianInt(int(r[i]), int(s[i])), w))
     # the public symbols on seeded z, every w
     for w in ws:
         q = w.norm()
@@ -137,15 +175,14 @@ def g0(bound: int, cases: int, rng: random.Random):
         groups: dict[int, list[int]] = {}
         for i, (z1, z2) in enumerate(chunk):
             groups.setdefault(abs(delta(z1, z2)), []).append(i)
-        ok = [False] * len(chunk)
+        ok = np.zeros(len(chunk), dtype=bool)
         for q, idx in groups.items():
             group = [chunk[i] for i in idx]  # in the Lemma 8.4 domain, as generated
             closed = congruences._g0_closed_forms(q, group)
-            counts = congruences._g0_brute_counts(q, group)
-            for i, f, c in zip(idx, closed, counts):
-                ok[i] = f == Fraction(int(c), q)
-        for (z1, z2), good in zip(chunk, ok):  # tallied in generator order
-            t.case(good, z1, z2)
+            counts = congruences._g0_brute_counts(q, group).tolist()
+            # closed form = count / q, compared as integers
+            ok[idx] = [f.numerator * q == c * f.denominator for f, c in zip(closed, counts)]
+        t.cases(ok, chunk.__getitem__)  # tallied in generator order
     return t.result()
 
 

@@ -35,7 +35,9 @@ __all__ = [
     "dirichlet_symbol",
     "dirichlet_symbol_via_root",
     "jacobi_kubota",
+    "jacobi_kubota_vec",
     "epsilon_factor",
+    "epsilon_factor_vec",
     "spin",
     "spin_vec",
     "primary_gcd_cofactor",
@@ -82,6 +84,23 @@ def jacobi_kubota(z: GaussianInt) -> GaussianInt:
     return GaussianInt(j * u.re, j * u.im)
 
 
+# Re and Im of i^k, k = 0 .. 3
+_UNIT_RE = np.array([u.re for u in _UNITS], dtype=np.int8)
+_UNIT_IM = np.array([u.im for u in _UNITS], dtype=np.int8)
+
+
+def jacobi_kubota_vec(r, s) -> tuple[np.ndarray, np.ndarray]:
+    """[r + is] for every entry of int64 arrays r (odd) and s: the real and
+    imaginary parts of i^((r-1)/2) (s/|r|), as int8.  jacobi_kubota is the
+    oracle."""
+    r, s = np.asarray(r, dtype=np.int64), np.asarray(s, dtype=np.int64)
+    if np.any(r % 2 == 0):
+        raise ValueError("real part must be odd")
+    j = jacobi_vec(s, np.abs(r))
+    k = (r - 1) // 2 % 4
+    return j * _UNIT_RE[k], j * _UNIT_IM[k]
+
+
 def _hil(x: int, y: int) -> int:
     # Hilbert symbol (x, y)_inf; unlike arith.hilbert_infinity, a zero
     # entry (an axis point) counts as positive
@@ -120,6 +139,30 @@ def epsilon_factor_sign_form(w: GaussianInt, z: GaussianInt) -> int:
     rhs = 1 + sgn(v * r) - (sgn(v) - sgn(r)) * sgn(a)
     assert abs(rhs) == 2, "sign identity out of range"
     return (rhs // 2) * _hil(u, v)
+
+
+def epsilon_factor_vec(u, v, r, s, sign_form: bool = False) -> np.ndarray:
+    """epsilon(w, z) for w = u + iv and z = r + is over broadcast int64
+    arrays, as int8: by the quadrant rule of epsilon_factor, or by the sign
+    form of epsilon_factor_sign_form when sign_form is set.  Those two are
+    the oracles, and each entry is rejected where they reject it; entries
+    of 2^31 or more, whose Re wz could overflow int64, raise ValueError."""
+    u, v, r, s = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (u, v, r, s)))
+    if any(np.any(np.abs(x) >= 1 << 31) for x in (u, v, r, s)):
+        raise ValueError("entries must be below 2^31 in absolute value")
+    a = u * r - v * s  # Re(w z)
+    if np.any(a == 0):
+        raise ValueError("degenerate: Re(wz) = 0")
+    neg = (u < 0) & (v < 0)  # (u, v)_inf = -1
+    if sign_form:
+        if np.any((v == 0) | (r == 0)):
+            raise ValueError("sign form undefined for Im w = 0 or Re z = 0")
+        rhs = 1 + np.sign(v * r) - (np.sign(v) - np.sign(r)) * np.sign(a)
+        assert np.all(np.abs(rhs) == 2), "sign identity out of range"
+        neg ^= rhs < 0
+    else:  # (r, -v)_inf when Re wz > 0, (-r, v)_inf when Re wz < 0
+        neg ^= np.where(a > 0, (r < 0) & (v > 0), (r > 0) & (v < 0))
+    return np.where(neg, -1, 1).astype(np.int8)
 
 
 def spin(p: int) -> int:

@@ -1,5 +1,6 @@
-"""The suites against their plain loops: g0 chunked and per-|Delta|, counts
-per modulus, laws on one table per w, residues on one count of squares per d."""
+"""The suites against their plain loops: multiplier and reciprocity a block
+of w rows at a time, g0 chunked and per-|Delta|, counts per modulus, laws on
+one table per norm, residues on one count of squares per d."""
 
 import ast
 import math
@@ -9,11 +10,140 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsieve import arith, congruences, identities, lattice
+from spinsieve import arith, congruences, identities, lattice, symbols
 from spinsieve._util import Tally
 from spinsieve.congruences import G0_brute, G0_formula
-from spinsieve.gaussian import GaussianInt as G, delta
+from spinsieve.gaussian import GaussianInt as G, delta, up_to_norm
 from spinsieve.symbols import dirichlet_symbol, dirichlet_symbol_via_root
+
+
+def _multiplier_grid(bound):
+    ws = identities.primary_primitive(bound)
+    return ws, [z for z in up_to_norm(bound) if z.re % 2 and z.im % 2 == 0]
+
+
+def _plain_multiplier(bound):
+    # the multiplier suite one (w, z) at a time, through the scalar symbols
+    t = Tally()
+    ws, zs = _multiplier_grid(bound)
+    for w in ws:
+        for z in zs:
+            if (w * z).re == 0:
+                continue
+            eps = symbols.epsilon_factor(w, z)
+            rhs = G(eps * symbols.dirichlet_symbol(z, w), 0)
+            rhs = rhs * symbols.jacobi_kubota(w) * symbols.jacobi_kubota(z)
+            t.case(symbols.jacobi_kubota(w * z) == rhs, "multiplier rule", w, z)
+            if w.im and z.re and eps != symbols.epsilon_factor_sign_form(w, z):
+                t.fail("epsilon sign form", w, z)
+    return t.result()
+
+
+def _plain_reciprocity(bound):
+    # the reciprocity suite one (w, z) at a time, through dirichlet_symbol
+    t = Tally()
+    ws = identities.primary_primitive(bound)
+    for w in ws:
+        for z in ws:
+            t.case(symbols.dirichlet_symbol(z, w) == symbols.dirichlet_symbol(w, z), w, z)
+    return t.result()
+
+
+_BLOCKS = [1, 7, identities._PAIR_BLOCK]
+
+
+def test_multiplier_and_reciprocity_equal_plain_loops(monkeypatch):
+    for bound in (1, 5, 50, 500):
+        expected = _plain_multiplier(bound), _plain_reciprocity(bound)
+        for block in _BLOCKS:
+            monkeypatch.setattr(identities, "_PAIR_BLOCK", block)
+            got = identities.run("multiplier", bound), identities.run("reciprocity", bound)
+            assert got == expected, (bound, block)
+    assert expected[0][0] == 63_434 and expected[1][0] == 161**2
+
+
+def _flip_eps(monkeypatch, quadrant_at, sign_form_at):
+    # epsilon read with the wrong sign at the (w, z) of quadrant_at in the
+    # quadrant rule, and at those of sign_form_at in the sign form: array
+    # and scalar forms alike
+    kernel = symbols.epsilon_factor_vec
+    scalar, scalar_sf = symbols.epsilon_factor, symbols.epsilon_factor_sign_form
+
+    def flipped_vec(u, v, r, s, sign_form=False):
+        out = kernel(u, v, r, s, sign_form=sign_form)
+        u, v, r, s = np.broadcast_arrays(u, v, r, s)
+        for w, z in sign_form_at if sign_form else quadrant_at:
+            out[(u == w.re) & (v == w.im) & (r == z.re) & (s == z.im)] *= -1
+        return out
+
+    monkeypatch.setattr(symbols, "epsilon_factor_vec", flipped_vec)
+    monkeypatch.setattr(
+        symbols, "epsilon_factor", lambda w, z: scalar(w, z) * (-1 if (w, z) in quadrant_at else 1)
+    )
+    monkeypatch.setattr(
+        symbols, "epsilon_factor_sign_form",
+        lambda w, z: scalar_sf(w, z) * (-1 if (w, z) in sign_form_at else 1),
+    )
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_multiplier_reports_injected_faults_in_pair_order(monkeypatch, block):
+    # listed out of order: a rule fault alone (epsilon flipped in both forms),
+    # a sign-form fault alone, and both at one (w, z), where the rule comes first
+    monkeypatch.setattr(identities, "_PAIR_BLOCK", block)
+    rule, sign, both = (G(3, 2), G(3, 2)), (G(-1, 2), G(-5, -4)), (G(-1, 2), G(3, 2))
+    _flip_eps(monkeypatch, quadrant_at={rule, both}, sign_form_at={rule, sign})
+    result = identities.run("multiplier", 50)
+    assert result == _plain_multiplier(50)
+    checked, violations, first = result
+    assert violations == 4
+    assert first == [
+        ("multiplier rule", *both), ("epsilon sign form", *both), ("epsilon sign form", *sign),
+    ]
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_reciprocity_reports_injected_faults_in_pair_order(monkeypatch, block):
+    # (37/65) read with the wrong sign on both sides: a pair fails when
+    # exactly one of xi_w(z), xi_z(w) reads residue 37 mod 65
+    monkeypatch.setattr(identities, "_PAIR_BLOCK", block)
+    q0, a0 = 65, 37
+    kernel, scalar = arith.jacobi_vec, symbols.jacobi
+
+    def flipped(a, m):
+        out = kernel(a, m)
+        a, m = np.broadcast_arrays(a, m)
+        out[(m == q0) & (a % q0 == a0)] *= -1
+        return out
+
+    monkeypatch.setattr(arith, "jacobi_vec", flipped)
+    monkeypatch.setattr(
+        symbols, "jacobi", lambda a, m: scalar(a, m) * (-1 if (m, a % m) == (q0, a0) else 1)
+    )
+    result = identities.run("reciprocity", 100)
+    assert result[1] == 8
+    assert result == _plain_reciprocity(100)
+
+
+def test_symbol_suites_hold_one_block_per_kernel_call(monkeypatch):
+    # every jacobi_vec call of either suite at bound 2000 takes at most one
+    # block of entries, and together the calls cover every (w, z) entry
+    sizes = []
+    kernel = arith.jacobi_vec
+
+    def recorded(a, m):
+        out = kernel(a, m)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(arith, "jacobi_vec", recorded)
+    monkeypatch.setattr(symbols, "jacobi_vec", recorded)
+    for name in ("multiplier", "reciprocity"):
+        sizes.clear()
+        checked, violations, _ = identities.run(name, 2000)
+        assert violations == 0
+        assert max(sizes) <= identities._PAIR_BLOCK, name
+        assert sum(sizes) >= 2 * checked, name
 
 
 def _plain_g0(bound):

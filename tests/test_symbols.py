@@ -12,7 +12,10 @@ from spinsieve.symbols import (
     dirichlet_symbol,
     dirichlet_symbol_via_root,
     epsilon_factor,
+    epsilon_factor_sign_form,
+    epsilon_factor_vec,
     jacobi_kubota,
+    jacobi_kubota_vec,
     primary_gcd_cofactor,
     spin,
     spin_vec,
@@ -119,6 +122,56 @@ def test_epsilon_factor_examples():
     assert epsilon_factor(G(-1, -2), G(3, 2)) == -1
     with pytest.raises(ValueError):
         epsilon_factor(G(1, 1), G(1, 1))  # Re(wz) = 0
+
+
+def _units(parts):
+    re, im = parts
+    return [G(a, b) for a, b in zip(re.tolist(), im.tolist())]
+
+
+def test_array_symbols_equal_scalar_oracles():
+    # every (w, z) of the multiplier grid at bound 2000, w primary primitive
+    # and z = 1 (mod 2): [w], [z] and [wz], and epsilon in both forms.  z = +-1
+    # + si and z on the real axis are among them, and Re wz takes both signs;
+    # z on the imaginary axis joins for the quadrant rule, which alone is
+    # defined there
+    ws = identities.primary_primitive(2000)
+    zs = [z for z in up_to_norm(2000) if z.re % 2 and z.im % 2 == 0]
+    axis = [G(0, s) for s in range(-44, 45) if s]
+    assert {G(1, 0), G(-1, 0), G(1, 44), G(-43, 0)} <= set(zs)
+    for group in (ws, zs):
+        r, s = np.array([(z.re, z.im) for z in group]).T
+        assert _units(jacobi_kubota_vec(r, s)) == [jacobi_kubota(z) for z in group]
+    grid, n = zs + axis, len(zs)
+    r, s = np.array([(z.re, z.im) for z in grid]).T
+    signs = set()
+    for w in ws:
+        wz = [w * z for z in grid]
+        a = np.array([p.re for p in wz])
+        signs |= set(np.sign(a).tolist())
+        keep = a != 0
+        eps = epsilon_factor_vec(w.re, w.im, r[keep], s[keep])
+        assert eps.tolist() == [epsilon_factor(w, z) for z, k in zip(grid, keep) if k], w
+        if w.im:
+            sf = epsilon_factor_vec(w.re, w.im, r[:n], s[:n], sign_form=True)
+            assert sf.tolist() == [epsilon_factor_sign_form(w, z) for z in zs], w
+        parts = jacobi_kubota_vec(a[:n], [p.im for p in wz[:n]])
+        assert _units(parts) == [jacobi_kubota(p) for p in wz[:n]], w
+    assert signs == {-1, 0, 1}
+    with pytest.raises(ValueError):
+        epsilon_factor_vec(3, 2, [1, 0], [4, 1], sign_form=True)  # Re z = 0
+    with pytest.raises(ValueError):
+        epsilon_factor_vec(1, 0, [1, 3], [4, 0], sign_form=True)  # Im w = 0
+    with pytest.raises(ValueError):
+        epsilon_factor_vec(1, 1, [3, 1], [1, 1])  # Re wz = 0 at 1 + i
+    with pytest.raises(ValueError):
+        epsilon_factor_vec(1, 2, 1 << 31, 1)  # Re wz would overflow int64
+    m = (1 << 31) - 1
+    for sign_form, oracle in ((False, epsilon_factor), (True, epsilon_factor_sign_form)):
+        eps = epsilon_factor_vec([-m, 1, -1], [m, -m, -2], m, m, sign_form=sign_form)
+        assert eps.tolist() == [oracle(w, G(m, m)) for w in (G(-m, m), G(1, -m), G(-1, -2))]
+    with pytest.raises(ValueError):
+        jacobi_kubota_vec([1, 2], [0, 1])  # even real part
 
 
 def test_spin():
