@@ -20,7 +20,7 @@ for x in (100, 10**4, 10**6, 10**7, 10**8):
     t0 = time.perf_counter()
     r = theorem1_experiment(x)
     dt = time.perf_counter() - t0
-    print(f"{x:<12,} {r.observed:>14.3f} {r.predicted:>16.3f} {r.ratio:>9.4f} {r.pair_count:>9,}"
+    print(f"{x:<12,} {r['observed']:>14.3f} {r['predicted']:>16.3f} {r['ratio']:>9.4f} {r['pair_count']:>9,}"
           f"   ({dt:.2f}s)")
 
 hand = (2 * math.log(2) + 2 * math.log(5) + 2 * math.log(17)

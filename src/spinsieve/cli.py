@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import random
 import sys
 import time
 
@@ -44,14 +43,7 @@ def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks
     # one sweep serves every checkpoint; runtime_s is the time to reach it
     rows = []
     t0 = time.perf_counter()
-    for rep in sieve.theorem1_walk(_decades(x, checkpoints, 1)):
-        row = {
-            "x": rep.x,
-            "observed": rep.observed,
-            "predicted": rep.predicted,
-            "ratio": rep.ratio,
-            "pair_count": rep.pair_count,
-        }
+    for row in sieve.theorem1_walk(_decades(x, checkpoints, 1)):
         if timing:
             row["runtime_s"] = time.perf_counter() - t0
         rows.append(row)
@@ -110,17 +102,7 @@ def cmd_identities(suite: str, bound: int, cases: int, seed: int,
 
 def cmd_remainder(x: int, d_max: int, timing: bool) -> tuple[Report, Checks]:
     d_max = d_max or math.isqrt(x)
-    rows_raw, summary = sieve.remainder_scan(x, d_max, timing)
-    rows = [
-        {
-            "d": r.d,
-            "A_d": r.A_d,
-            "M_d": r.M_d,
-            "g_d": float(r.g_d),
-            "r_d": r.r_d,
-        }
-        for r in rows_raw
-    ]
+    rows, summary = sieve.remainder_scan(x, d_max, timing)
     return Report(
         command="remainder",
         parameters={"x": x, "d_max": d_max},
@@ -174,13 +156,9 @@ def cmd_constants() -> tuple[Report, Checks]:
 
 
 def cmd_decomp(x: int, r: int, cases: int, seed: int) -> tuple[Report, Checks]:
-    support = decomp.identity_structure(x, r).key  # checks x and r before any draw
-    rng = random.Random(seed)
     rows = []
     t = Tally()
-    for trial in range(cases):
-        f = {ell: rng.choice((-1, 1)) for ell in support}
-        lhs, rhs, eq = decomp.prop_24_2_check(f, x, r)
+    for trial, (lhs, rhs, eq) in enumerate(decomp.prop_24_2_trials(x, r, cases, seed)):
         t.case(eq, trial)
         rows.append(
             {

@@ -16,6 +16,7 @@ gamma weights 1/(1 + nu(q, z)) stay exact rationals end to end.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,7 @@ __all__ = [
     "squarefree_up_to",
     "identity_structure",
     "prop_24_2_check",
+    "prop_24_2_trials",
     "vaughan_terms",
     "vaughan_check",
 ]
@@ -221,8 +223,9 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
         # len(large) - 1 primes above z, so gamma(q) = 1 / len(large); the
         # pairs with q <= z count 1 each
         above = sum(1 for p in large if ell // p > z)
-        w = Fraction(above, len(large) or 1)
-        c = (cnt + len(large) - above, w.numerator, w.denominator)
+        k = len(large) or 1
+        g = math.gcd(above, k)  # w = above / k in lowest terms
+        c = (cnt + len(large) - above, above // g, k // g)
         key[ell] = shared.setdefault(c, c)
     return IdentityStructure(x=x, r=r, z=z, D=D, key=key)
 
@@ -230,16 +233,24 @@ def identity_structure(x: int, r: int) -> IdentityStructure:
 def prop_24_2_check(f: dict[int, complex], x: int, r: int):
     """Evaluate both sides of the triple-sum decomposition for f supported
     on squarefree ell <= x; returns (lhs, rhs, equal).  gamma(q) weights
-    are exact rationals; equality is exact for integer-valued f and to
-    1e-9 otherwise."""
+    are exact rationals; equality is exact when every value of f is an int,
+    a Fraction or an integer-valued float, and to 1e-9 otherwise."""
     key = identity_structure(x, r).key
     if not f.keys() <= key.keys():
         raise ValueError("f must be supported on squarefree ell <= x")
     lhs = sum(f.values())
-    exact = all(
-        isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
-        for v in f.values()
-    )
+    # an int sum has only int terms and is compared exactly; the terms of a
+    # Fraction or float sum are read, since numpy integers and non-integer
+    # floats make it inexact; any other sum (complex, numpy) is inexact
+    if isinstance(lhs, int):
+        exact = True
+    elif isinstance(lhs, (Fraction, float)):
+        exact = all(
+            isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
+            for v in f.values()
+        )
+    else:
+        exact = False
     # sum f per coefficient a + w, so rationals are formed once per value
     sums: dict[tuple[int, int, int], complex] = {}
     for ell, v in f.items():
@@ -248,6 +259,18 @@ def prop_24_2_check(f: dict[int, complex], x: int, r: int):
     rhs = sum((c + Fraction(n, d)) * s for (c, n, d), s in sums.items())
     equal = lhs == rhs if exact else abs(complex(lhs) - complex(rhs)) <= 1e-9
     return lhs, rhs, equal
+
+
+def prop_24_2_trials(x: int, r: int, cases: int, seed: int):
+    """prop_24_2_check on cases seeded random f = +-1 on the squarefree
+    ell <= x: Random(seed), then one choice((-1, 1)) per ell ascending, per
+    trial.  Yields (lhs, rhs, equal) per trial; x and r are checked before
+    the first draw."""
+    support = identity_structure(x, r).key
+    rng = random.Random(seed)
+    for _ in range(cases):
+        f = {ell: rng.choice((-1, 1)) for ell in support}
+        yield prop_24_2_check(f, x, r)
 
 
 def vaughan_terms(n: int, y: int) -> tuple[float, float, float]:

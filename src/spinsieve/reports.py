@@ -2,7 +2,9 @@
 
 CSV: one header line, comma separated, floats printed with 12 significant
 digits, no locale dependence.  JSON: a single object
-{command, parameters, rows, summary, schema_version}.  Report.render is
+{command, parameters, rows, summary, schema_version}, whose values the
+commands keep to JSON's own types; any other value (a Fraction, a numpy
+scalar) makes render raise TypeError.  Report.render is
 the one writer: it streams either format to standard output, and its bytes
 are a pure function of the report contents, so identical runs produce
 identical bytes.
@@ -63,9 +65,7 @@ class Report:
                 "summary": self.summary,
                 "schema_version": self.schema_version,
             }
-            # a value JSON has no type for (a Fraction, a numpy integer) is
-            # written as its str
-            json.dump(obj, out, indent=2, default=str)
+            json.dump(obj, out, indent=2)
             out.write("\n")
         elif fmt == "csv":
             cols = list(self.rows[0]) if self.rows else []

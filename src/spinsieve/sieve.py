@@ -14,6 +14,9 @@ prime p <= sqrt(x) divides a^2 + b^4 only on the classes a = +-nu b^2
 
 Counts are exact integers; densities are exact rationals; only the final
 Lambda-weighted sums are floating point (deterministic block order).
+remainder_scan and theorem1_walk build the rows of their CLI reports: one
+dict of report columns per modulus or checkpoint, which the report holds
+as built.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .congruences import rho_b, _roots_neg_square, _rho_prime_power
 from .gaussian import gaussian_reps
 
 __all__ = [
-    "RemainderRow",
-    "ExperimentReport",
     "GAxiomsReport",
     "a_n",
     "A",
@@ -50,26 +51,6 @@ __all__ = [
     "factorization_identity_check",
     "g_axioms_report",
 ]
-
-
-@dataclass(slots=True)
-class RemainderRow:
-    """One modulus of the remainder scan: r_d = A_d(x) - g(d) A(x)."""
-
-    d: int
-    A_d: int
-    M_d: float
-    g_d: Fraction
-    r_d: float
-
-
-@dataclass
-class ExperimentReport:
-    x: int
-    observed: float
-    predicted: float
-    ratio: float
-    pair_count: int
 
 
 @dataclass
@@ -271,11 +252,10 @@ def _cubefree_tables(D: int) -> tuple[np.ndarray, ...]:
 _ROW_CHUNK = 4096
 
 
-def remainder_scan(
-    x: int, D: int, timing: bool = False
-) -> tuple[list[RemainderRow], dict]:
-    """Rows (d, A_d, M_d, g(d), r_d) for every cubefree d <= D, plus a
-    summary with sum |r_d| and its ratio against D^(1/4) x^(9/16).
+def remainder_scan(x: int, D: int, timing: bool = False) -> tuple[list[dict], dict]:
+    """The report rows {d, A_d, M_d, g_d, r_d} of every cubefree d <= D,
+    r_d = A_d(x) - g(d) A(x), plus a summary with sum |r_d| and its ratio
+    against D^(1/4) x^(9/16).
 
     A_d sums the int8 array of a_n over the multiples of d; M_d and g(d)
     come from tables of rho, d2, rad and N over d <= D, with
@@ -283,9 +263,12 @@ def remainder_scan(
         d M_d = d2 2 [sqrt x] + 2 sum_c rho_b(c^2, d) (2 [sqrt(x - c^4)] + 1),
         rho_b(c^2, d) = (c^2, d2) rho(d / (c^4, d)) = (c^2, d2) rho(d / (c^2, d)),
 
-    for cubefree d, over the (moduli x c) grid a block of moduli at a time.  A_d, M_d_exact
-    and g are the per-modulus oracles.  timing adds the seconds of each
-    stage (a_n, tables, rows) to the summary."""
+    for cubefree d, over the (moduli x c) grid a block of moduli at a time.
+    The A_d column is summed first and the O(x) a_n array released before
+    the rows are built.  g_d = N / (d rad d) and r_d are int true divisions,
+    each the exact rational rounded once, as float(Fraction) rounds it.
+    A_d, M_d_exact and g are the per-modulus oracles.  timing adds the
+    seconds of each stage (a_n, tables, rows) to the summary."""
     if x < 1 or D < 1:
         raise ValueError("x and D must be positive")
     if x > 10**8:
@@ -300,6 +283,8 @@ def remainder_scan(
     t1 = time.perf_counter()
     ds, rho, d2, rad, num = _cubefree_tables(D)
     t2 = time.perf_counter()
+    Ad = np.fromiter((an[d::d].sum() for d in ds.tolist()), dtype=np.int64, count=ds.size)
+    del an
     root = math.isqrt(x)
     c = np.arange(1, math.isqrt(root) + 1, dtype=np.int64)  # c^4 <= x
     c2 = c * c
@@ -310,14 +295,17 @@ def remainder_scan(
         col = dd[:, None]
         # (c^4, d) = (c^2, d) on cubefree d, and the smaller gcd is the faster
         rb = np.gcd(c2, d2[col]) * rho[col // np.gcd(c2, col)]
-        totals = 2 * root * d2[dd] + 2 * (rb @ w)
-        for d, t, n, r in zip(dd.tolist(), totals.tolist(), num[dd].tolist(), rad[dd].tolist()):
-            Ad = int(an[d::d].sum())
-            # int true division rounds the exact quotient once, as float(Fraction) does
-            rd = (Ad * d * r - n * Ax) / (d * r)
-            rows.append(RemainderRow(d=d, A_d=Ad, M_d=t / d, g_d=Fraction(n, d * r), r_d=rd))
+        totals = 2 * root * d2[dd] + 2 * (rb @ w)  # d M_d
+        dr = dd * rad[dd]  # d rad d, the denominator of g(d)
+        rows += (
+            {"d": d, "A_d": a, "M_d": t / d, "g_d": n / q, "r_d": (a * q - n * Ax) / q}
+            for d, a, t, n, q in zip(
+                dd.tolist(), Ad[lo : lo + _ROW_CHUNK].tolist(), totals.tolist(),
+                num[dd].tolist(), dr.tolist()
+            )
+        )
     t3 = time.perf_counter()
-    total = math.fsum(abs(r.r_d) for r in rows)
+    total = math.fsum(abs(r["r_d"]) for r in rows)
     summary = {
         "x": x,
         "D": D,
@@ -428,17 +416,18 @@ class _RootSieve:
         return prime
 
 
-def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
-    """One ExperimentReport per x of the ascending xs: the observed sum of
-    Lambda(a^2 + b^4) over positive a, b (pairs counted with multiplicity,
-    prime powers included) against (4/pi) kappa x^(3/4).  The whole list is
+def theorem1_walk(xs: Iterable[int]) -> Iterator[dict]:
+    """One report row {x, observed, predicted, ratio, pair_count} per x of
+    the ascending xs: the observed sum of Lambda(a^2 + b^4) over positive
+    a, b (pairs counted with multiplicity, prime powers included) against
+    (4/pi) kappa x^(3/4), and the number of pairs.  The whole list is
     checked before any table is built.
 
     One sweep over the b-lines of the largest x, X, serves every x.  The
     prime values come from the root sieve of _RootSieve over the primes
     <= sqrt(X), with no primality test per value, and the prime powers p^k,
     k >= 2, from a table of them; a smaller x reads the prefix
-    a <= sqrt(x - b^4) of each line.  Each report is yielded as soon as the
+    a <= sqrt(x - b^4) of each line.  Each row is yielded as soon as the
     sweep passes its x.  Memory is O(sqrt(X))."""
     xs = list(xs)
     if not xs:
@@ -466,8 +455,8 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
         while done < len(xs) and b4 >= xs[done]:
             x, observed = xs[done], math.fsum(parts[done])
             predicted = 4.0 / math.pi * kappa_closed_form() * x**0.75
-            yield ExperimentReport(x=x, observed=observed, predicted=predicted,
-                                   ratio=observed / predicted, pair_count=pairs[done])
+            yield {"x": x, "observed": observed, "predicted": predicted,
+                   "ratio": observed / predicted, "pair_count": pairs[done]}
             done += 1
         if done == len(xs):
             return
@@ -490,10 +479,10 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[ExperimentReport]:
             pairs[i] += ax
 
 
-def theorem1_experiment(x: int) -> ExperimentReport:
-    """The one-checkpoint theorem1_walk."""
-    (report,) = theorem1_walk([x])
-    return report
+def theorem1_experiment(x: int) -> dict:
+    """The row of the one-checkpoint theorem1_walk."""
+    (row,) = theorem1_walk([x])
+    return row
 
 
 def factorization_identity_check(m: int, n: int) -> bool:

@@ -6,10 +6,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from spinsieve import decomp
 from spinsieve.arith import _smallest_prime_factors, divisors, factorize, mobius, von_mangoldt
 from spinsieve.decomp import (
+    IdentityStructure,
     SeparationTriple,
     gamma_minus,
     gamma_plus,
@@ -97,6 +100,7 @@ def test_split_off_weights_equal_nu_weights():
                     want[ell] = want.get(ell, Fraction(0)) + Fraction(1, 1 + nu(ell // p, z))
         got = {ell: Fraction(k[1], k[2]) for ell, k in struct.key.items() if k[1]}
         assert got == want, r
+        assert all(math.gcd(k[1], k[2]) == 1 for k in struct.key.values()), r  # lowest terms
 
 
 def test_identity_random_signs():
@@ -108,6 +112,30 @@ def test_identity_random_signs():
             f = {ell: rng.choice((-1, 1)) for ell in sup}
             lhs, rhs, eq = prop_24_2_check(f, 10**4, r)
             assert eq and lhs == rhs
+
+
+def test_prop_24_2_trials_draw_in_the_documented_order(monkeypatch):
+    # Random(seed), then one choice((-1, 1)) per squarefree ell ascending, per
+    # trial; every draw of +-1 has the same sum, so f itself is compared
+    real, seen = prop_24_2_check, []
+
+    def record(f, x, r):
+        seen.append(list(f.items()))
+        return real(f, x, r)
+
+    monkeypatch.setattr(decomp, "prop_24_2_check", record)
+    for x, r, cases, seed in ((300, 2, 3, 5), (2000, 3, 2, 60)):
+        rng = random.Random(seed)
+        want, fs = [], []
+        for _ in range(cases):
+            f = {ell: rng.choice((-1, 1)) for ell in squarefree_up_to(x)}
+            fs.append(list(f.items()))
+            want.append(real(f, x, r))
+        seen.clear()
+        assert list(decomp.prop_24_2_trials(x, r, cases, seed)) == want, (x, r)
+        assert seen == fs, (x, r)
+    with pytest.raises(ValueError):
+        next(decomp.prop_24_2_trials(10, 1, 1, 0))
 
 
 def test_identity_at_1e5():
@@ -141,6 +169,49 @@ def test_identity_real_valued():
     f = {ell: rng.uniform(-1, 1) for ell in sup}
     lhs, rhs, eq = prop_24_2_check(f, 3000, 2)
     assert eq and abs(lhs - complex(rhs).real) <= 1e-9
+
+
+def _compared_exactly(monkeypatch, values):
+    # One coefficient is 1 + 1e-12, so the exact comparison fails and the
+    # 1e-9 one passes: equal tells which one prop_24_2_check made.
+    key = {1: (1, 0, 1), 2: (1, 1, 10**12)}
+    monkeypatch.setattr(decomp, "identity_structure",
+                        lambda x, r: IdentityStructure(x=x, r=r, z=1, D=1, key=key))
+    lhs, rhs, eq = prop_24_2_check(dict(zip(key, values)), 2, 2)
+    assert abs(complex(lhs) - complex(rhs)) <= 1e-9
+    return not eq
+
+
+def test_identity_integer_valued_floats_compare_exactly(monkeypatch):
+    for values in ((1.0, 1.0), (1, -1.0), (Fraction(1, 3), 2.0), (3, 4), (Fraction(1, 3), 1)):
+        assert _compared_exactly(monkeypatch, values), values
+    for values in ((0.5, 1.0), (1, 0.5), (Fraction(1, 3), 1e-3)):
+        assert not _compared_exactly(monkeypatch, values), values
+
+
+def test_identity_complex_values_compare_to_tolerance(monkeypatch):
+    for values in ((1 + 0j, 1), (1j, 2.0), (Fraction(1, 2), 1 - 1j)):
+        assert not _compared_exactly(monkeypatch, values), values
+    monkeypatch.undo()
+    rng = random.Random(19)
+    f = {ell: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for ell in squarefree_up_to(3000)}
+    lhs, rhs, eq = prop_24_2_check(f, 3000, 2)
+    assert eq and abs(lhs - complex(rhs)) <= 1e-9
+
+
+def test_identity_numpy_scalars(monkeypatch):
+    # numpy integers are compared to 1e-9, also when their sum is a Fraction;
+    # numpy floats are floats, exact when integer-valued
+    for values in ((np.int64(1), np.int64(1)), (np.int64(1), 1), (np.int64(1), Fraction(1, 2)),
+                   (Fraction(1, 2), np.int32(1)), (np.float64(0.5), 1), (np.bool_(True), 1)):
+        assert not _compared_exactly(monkeypatch, values), values
+    for values in ((np.float64(1.0), 1), (np.float64(2.0), np.float64(-1.0))):
+        assert _compared_exactly(monkeypatch, values), values
+    monkeypatch.undo()
+    rng = random.Random(21)
+    f = {ell: np.int64(rng.choice((-1, 1))) for ell in squarefree_up_to(3000)}
+    lhs, rhs, eq = prop_24_2_check(f, 3000, 2)
+    assert eq and lhs == rhs
 
 
 def test_smooth_restriction_matches_triple_sum():

@@ -71,14 +71,18 @@ def test_report_json_schema(capsys):
         command="demo",
         parameters={"x": 1},
         rows=[{"a": 1}],
-        summary={"ok": True, "g": Fraction(1, 3)},
+        summary={"ok": True, "g": 0.5},
     )
     rep.render("json")
     obj = json.loads(capsys.readouterr().out)
     jsonschema.validate(obj, REPORT_SCHEMA)
     assert obj["schema_version"] == 1
     assert obj["rows"] == [{"a": 1}]
-    assert obj["summary"] == {"ok": True, "g": "1/3"}  # no JSON type: written as its str
+    assert obj["summary"] == {"ok": True, "g": 0.5}
+    # a value JSON has no type for raises, rather than being written as its str
+    for stray in (Fraction(1, 3), np.int64(7)):
+        with pytest.raises(TypeError):
+            Report(command="demo", parameters={}, rows=[{"a": stray}]).render("json")
 
 
 def test_report_json_streams_the_bytes_of_dumps(capsys):
@@ -88,14 +92,54 @@ def test_report_json_streams_the_bytes_of_dumps(capsys):
         command="demo",
         parameters={"x": 1},
         rows=[{"a": 1, "b": 0.1}, {"a": 2, "b": 1e300}],
-        summary={"g": Fraction(1, 3), "n": np.int64(7)},
+        summary={"g": 1 / 3, "n": 7},
     )
     want = json.dumps(
         {"command": "demo", "parameters": {"x": 1}, "rows": rep.rows,
          "summary": rep.summary, "schema_version": 1},
-        indent=2, default=str) + "\n"
+        indent=2) + "\n"
     rep.render("json")
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem1", "--x", "10000", "--checkpoints", "2", "--timing"),
+    ("spin", "--x", "10000", "--checkpoints", "2", "--timing"),
+    ("identities", "--bound", "30", "--timing"),
+    ("remainder", "--x", "3000", "--d-max", "50", "--timing"),
+    ("lattice", "--m", "100", "--bound", "60", "--cases", "3"),
+    ("constants",),
+    ("decomp", "--x", "300", "--cases", "2"),
+])
+def test_cli_reports_render_as_plain_json(argv, capsys):
+    # every value of every command's report is a JSON type: plain json.dump,
+    # with no default, writes the bytes render writes
+    args = _build_parser().parse_args([*argv, "--format", "json"])
+    rep, _ = args.run(args)
+    want = json.dumps(
+        {"command": rep.command, "parameters": rep.parameters, "rows": rep.rows,
+         "summary": rep.summary, "schema_version": rep.schema_version},
+        indent=2) + "\n"
+    rep.render("json")
+    assert capsys.readouterr().out == want
+
+
+def test_cli_reports_hold_the_scan_and_walk_rows(monkeypatch):
+    # the report holds the row objects the library built, not copies of them
+    from spinsieve import cli, sieve
+
+    rows = [{"d": 1, "A_d": 4, "M_d": 4.0, "g_d": 1.0, "r_d": 0.0}]
+    summary = {"moduli": 1}
+    monkeypatch.setattr(sieve, "remainder_scan", lambda x, D, timing: (rows, summary))
+    rep, _ = cli.cmd_remainder(100, 1, False)
+    assert rep.rows is rows and rep.rows[0] is rows[0] and rep.summary is summary
+    walk = [{"x": x, "observed": 1.0, "predicted": 2.0, "ratio": 0.5, "pair_count": 3}
+            for x in (10, 100)]
+    monkeypatch.setattr(sieve, "theorem1_walk", lambda xs: iter(walk))
+    for timing in (False, True):
+        rep, _ = cli.cmd_theorem1(100, 2, timing)
+        assert len(rep.rows) == len(walk) and all(a is b for a, b in zip(rep.rows, walk))
+    assert all("runtime_s" in row for row in walk)  # --timing adds its column in place
 
 
 def test_cli_constants():

@@ -94,12 +94,12 @@ def test_M_d_exact_counts_roots_by_scan():
 
 def test_remainder_scan():
     rows, summary = sv.remainder_scan(10**4, 100)
-    assert rows[0].d == 1 and rows[0].r_d == 0.0
-    assert all(r.r_d == float(Fraction(r.A_d) - r.g_d * summary["A_x"]) for r in rows)
+    assert rows[0]["d"] == 1 and rows[0]["r_d"] == 0.0
+    assert all(r["r_d"] == float(Fraction(r["A_d"]) - sv.g(r["d"]) * summary["A_x"]) for r in rows)
     assert summary["sum_abs_r"] > 0
     # single-modulus scan
     rows1, s1 = sv.remainder_scan(500, 1)
-    assert len(rows1) == 1 and rows1[0].r_d == 0.0
+    assert len(rows1) == 1 and rows1[0]["r_d"] == 0.0
     # growth stays below x^0.7 across three decades
     for x in (10**4, 10**5):
         _, s = sv.remainder_scan(x, math.isqrt(x))
@@ -129,10 +129,10 @@ def test_theorem1_hand_case():
         + math.log(41)
         + 2 * math.log(97)
     )
-    assert rep.observed == pytest.approx(hand, abs=1e-9)
-    assert rep.pair_count == 22
-    assert rep.ratio == pytest.approx(0.76, abs=0.01)
-    assert sv.theorem1_experiment(1).observed == 0.0
+    assert rep["observed"] == pytest.approx(hand, abs=1e-9)
+    assert rep["pair_count"] == 22
+    assert rep["ratio"] == pytest.approx(0.76, abs=0.01)
+    assert sv.theorem1_experiment(1)["observed"] == 0.0
 
 
 def test_theorem1_summation_order_pinned():
@@ -141,7 +141,7 @@ def test_theorem1_summation_order_pinned():
     for x, observed, pairs in ((10**5, 6152.78818473758, 4741),
                                (10**7, 196399.4088382073, 153890)):
         rep = sv.theorem1_experiment(x)
-        assert rep.observed == observed and rep.pair_count == pairs, x
+        assert rep["observed"] == observed and rep["pair_count"] == pairs, x
 
 
 def test_theorem1_walk_rows_equal_one_checkpoint_runs(monkeypatch):
@@ -153,12 +153,11 @@ def test_theorem1_walk_rows_equal_one_checkpoint_runs(monkeypatch):
                [2**32 - 10**5, 2**32 + 10**6], [10**6, 10**7, 10**8, 10**9]):
         for x, rep in zip(xs, sv.theorem1_walk(xs), strict=True):
             one = sv.theorem1_experiment(x)
-            assert (rep.x, rep.observed, rep.ratio, rep.pair_count) == (
-                x, one.observed, one.ratio, one.pair_count), (xs, x)
+            assert rep == one and rep["x"] == x, (xs, x)
     for x, rep in zip(upto25, sv.theorem1_walk(upto25), strict=True):
         values = [a * a + b**4 for b, amax in _lines(x) for a in range(1, amax + 1)]
         direct = math.fsum(ar.von_mangoldt(n) for n in values)
-        assert rep.pair_count == len(values) and abs(rep.observed - direct) <= 1e-12 * direct, x
+        assert rep["pair_count"] == len(values) and abs(rep["observed"] - direct) <= 1e-12 * direct, x
     # the whole list is checked before the first sieve is built
     monkeypatch.setattr(sv, "_RootSieve", None)
     for xs in ([10, 10**11 + 1], [0, 10], [10**12], [10**5, 10]):
@@ -230,8 +229,8 @@ def test_theorem1_equals_direct_lambda_sum():
         values = [a * a + b**4 for b, amax in _lines(x) for a in range(1, amax + 1)]
         direct = math.fsum(ar.von_mangoldt(n) for n in values)
         rep = sv.theorem1_experiment(x)
-        assert rep.pair_count == len(values), x
-        assert abs(rep.observed - direct) <= 1e-12 * direct, x
+        assert rep["pair_count"] == len(values), x
+        assert abs(rep["observed"] - direct) <= 1e-12 * direct, x
 
 
 def test_factorization_identity():
@@ -266,15 +265,15 @@ def test_remainder_scan_rows_equal_oracles():
     # holds c^4 = x (16, 81) and its neighbours
     for x in (1, 2, 15, 16, 17, 81, 10**4, 10**6):
         want = [
-            (d, sv.A_d(x, d), float(sv.M_d_exact(x, d)), sv.g(d))
+            (d, sv.A_d(x, d), float(sv.M_d_exact(x, d)), float(sv.g(d)))
             for d in range(1, min(x, 2000) + 1)
             if _cubefree(d)
         ]
         for D in sorted({min(x, 2000), x}):
             rows, summary = sv.remainder_scan(x, D)
-            head = [r for r in rows if r.d <= 2000]
-            assert [(r.d, r.A_d, r.M_d, r.g_d) for r in head] == want, (x, D)
-            assert all(r.r_d == float(Fraction(r.A_d) - r.g_d * sv.A(x)) for r in head)
+            head = [r for r in rows if r["d"] <= 2000]
+            assert [(r["d"], r["A_d"], r["M_d"], r["g_d"]) for r in head] == want, (x, D)
+            assert all(r["r_d"] == float(Fraction(r["A_d"]) - sv.g(r["d"]) * sv.A(x)) for r in head)
             # #{cubefree d <= D} = sum_k mu(k) [D / k^3]
             k3 = range(1, int(D ** (1 / 3)) + 2)  # k^3 > D adds 0
             assert summary["moduli"] == len(rows) == sum(ar.mobius(k) * (D // k**3) for k in k3)
