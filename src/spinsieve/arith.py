@@ -360,6 +360,15 @@ def chi4(n: int) -> int:
     return 0
 
 
+@functools.cache
+def _non_residue(p: int) -> int:
+    # The least z with (z/p) = -1, for odd prime p
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    return z
+
+
 def _tonelli_shanks(a: int, p: int) -> int | None:
     # One square root of a mod odd prime p, or None; a coprime to p.
     if jacobi(a, p) != 1:
@@ -370,10 +379,7 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
+    c = pow(_non_residue(p), q, p)
     x = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s

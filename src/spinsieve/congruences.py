@@ -183,13 +183,11 @@ def N_brute(a: int, q: int) -> int:
 
 
 def _n_brute_counts(q: int, avals) -> np.ndarray:
-    # N_brute for each a of avals: the squares mod q with their multiplicities
-    # counted once, and every a counted against them in one pass.
-    us, uc = _square_classes(q)
-    cnt = np.zeros(q, dtype=np.int64)
-    cnt[us] = uc
+    # N_brute for each a of avals: every a counted in one pass against the
+    # square classes of q and their multiplicities.
+    us, uc, sq = _square_classes(q)
     a = np.asarray(avals, dtype=np.int64).reshape(-1, 1) % q
-    return cnt[a * us % q] @ uc
+    return sq[a * us % q] @ uc
 
 
 def _divisors_phi(f: Factorization) -> list[tuple[int, int]]:
@@ -247,7 +245,7 @@ def N2_brute(a: int, b: int, q: int) -> int:
     if q < 1:
         raise ValueError("q must be positive")
     # ca[x] = #{g : a g^2 = x (mod q)}, cb likewise; N2 = sum_x ca[x] cb[x]
-    us, uc = _square_classes(q)
+    us, uc, _ = _square_classes(q)
     ca, cb = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
     np.add.at(ca, us * (a % q) % q, uc)
     np.add.at(cb, us * (b % q) % q, uc)
@@ -281,40 +279,102 @@ def G_sum(h1: int, h2: int, z1: GaussianInt, z2: GaussianInt) -> complex:
 
 @lru_cache(maxsize=4096)
 def _square_classes(q: int):
-    # distinct values of g^2 mod q with multiplicities
+    # The squares mod q: their distinct classes us, the multiplicity uc of
+    # each, and sq[x] = #{g mod q : g^2 = x (mod q)} over all x < q (int32,
+    # as the dense table is the large one).  The arrays are shared through
+    # the cache, so they are read-only.
     g = np.arange(q, dtype=np.int64)
-    return np.unique((g * g) % q, return_counts=True)
+    sq = np.bincount(g * g % q, minlength=q).astype(np.int32)
+    us = np.flatnonzero(sq)
+    uc = sq[us].astype(np.int64)
+    for a in (us, uc, sq):
+        a.flags.writeable = False
+    return us, uc, sq
 
 
-def _g0_brute_counts(q: int, pairs) -> np.ndarray:
-    # #{(g1, g2) mod q : g1^2 z2 = g2^2 z1 (mod q)} for each pair (z1, z2),
-    # the congruence tested on both coordinates.  Row i's keys are offset by
-    # i q^2, so one sort and two searches count the whole group.
-    us, uc = _square_classes(q)
-    c = np.array(
-        [(z1.re % q, z1.im % q, z2.re % q, z2.im % q) for z1, z2 in pairs], dtype=np.int64
-    ).reshape(-1, 4)
-    off = np.arange(len(c), dtype=np.int64)[:, None] * (q * q)
-    k1 = off + (c[:, 2:3] * us % q) * q + c[:, 3:4] * us % q
-    k2 = off + (c[:, 0:1] * us % q) * q + c[:, 1:2] * us % q
-    order = np.argsort(k1, axis=None, kind="stable")
-    s1 = k1.ravel()[order]
-    pref = np.concatenate(([0], np.cumsum(np.broadcast_to(uc, k1.shape).ravel()[order])))
-    lo = np.searchsorted(s1, k2.ravel(), side="left")
-    hi = np.searchsorted(s1, k2.ravel(), side="right")
-    return (pref[hi] - pref[lo]).reshape(k1.shape) @ uc
+# Coordinates of absolute value below this stay int64: a sum of two products
+# of them fits.
+_COORD_CAP = 1 << 30
+
+
+def _pair_coords(pairs) -> np.ndarray:
+    """(Re z1, Im z1, Re z2, Im z2) of each pair (z1, z2), one row per pair:
+    int64 while every coordinate is below _COORD_CAP in absolute value,
+    Python ints (dtype object) otherwise, so that the kernels' sums of
+    products are exact either way."""
+    flat = [x for z1, z2 in pairs for x in (z1.re, z1.im, z2.re, z2.im)]
+    try:
+        c = np.array(flat, dtype=np.int64).reshape(-1, 4)
+        if ((c < _COORD_CAP) & (c > -_COORD_CAP)).all():
+            return c
+    except OverflowError:
+        pass
+    return np.array(flat, dtype=object).reshape(-1, 4)
+
+
+def _delta_abs(c: np.ndarray) -> np.ndarray:
+    # |Delta| = |r1 s2 - r2 s1| of each coordinate row of c
+    return np.abs(c[:, 0] * c[:, 3] - c[:, 2] * c[:, 1])
+
+
+@lru_cache(maxsize=1 << 16)
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    # (lam, mu, e) with lam a + mu b = e = gcd(a, b), by extended Euclid
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    return (x0, y0, a) if a >= 0 else (-x0, -y0, -a)
+
+
+def _g0_brute_counts(q: int, c: np.ndarray) -> np.ndarray:
+    # #{(g1, g2) mod q : g1^2 z2 = g2^2 z1 (mod q)} for each pair (z1, z2) of
+    # the coordinate rows c (see _pair_coords), pairs that share |Delta| = q:
+    # the sum over the square classes u = g1^2 of uc[u] sq[v] over the v with
+    # v z1 = u z2 (mod q), tested on both coordinates.  Those v form one
+    # coset of the kernel of v -> v z1 (mod q), which has gcd(Re z1, Im z1,
+    # q) = e = gcd(Re z1, Im z1) elements, since e divides Delta.  With
+    # lam Re z1 + mu Im z1 = e (one Bezout pair per z1, cached), every such v
+    # has v e = u (lam Re z2 + mu Im z2) (mod q): e candidates v0 + k q/e,
+    # v0 < q/e, and one on the Lemma 8.4 domain, where z1 is primitive.  A
+    # wrong candidate could only lose matches.  Only the coordinate rows are
+    # shared with the closed form.
+    us, uc, sq = _square_classes(q)
+    bez = np.array([_bezout(a, b) for a, b in c[:, :2].tolist()]).reshape(-1, 3)
+    lam, mu = (bez[:, :2] % q).astype(np.int64).T  # Python ints reduce before they narrow
+    e = bez[:, 2].astype(np.int64)
+    r1, s1, r2, s2 = ((c % q).astype(np.int64)[:, [j]] for j in range(4))
+    v0 = us * ((lam[:, None] * r2 + mu[:, None] * s2) % q) % q // e[:, None]
+
+    def matches(rows, v):
+        # sq[v]-weighted sum over u of [v z1 = u z2 (mod q)] for the rows
+        hit = (v * r1[rows] % q == us * r2[rows] % q) & (v * s1[rows] % q == us * s2[rows] % q)
+        return (sq[v] * hit) @ uc
+
+    count = matches(slice(None), v0)
+    for k in range(1, int(e.max(initial=1))):  # the rest of each coset, off the domain
+        rows = np.flatnonzero(e > k)
+        count[rows] += matches(rows, v0[rows] + k * (q // e[rows, None]))
+    return count
 
 
 def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:
-    """|D|^-1 #{(g1, g2) mod |D| : g1^2 z2 = g2^2 z1 (mod |D|)}.
+    """|D|^-1 #{(g1, g2) mod |D| : g1^2 z2 = g2^2 z1 (mod |D|)}, any D != 0.
 
-    The congruence is tested on both coordinates directly; this is the
-    independent oracle for the closed form, sharing none of its machinery.
+    The count runs over the square classes u = g1^2 mod |D|.  The v = g2^2
+    with v z1 = u z2 (mod |D|) form one coset of the kernel of v -> v z1,
+    which has gcd(Re z1, Im z1) elements (a divisor of D), so a Bezout pair
+    of Re z1 and Im z1 names every candidate v, and each candidate is tested
+    on both coordinates directly.  The count reads no Jacobi symbol, divisor
+    sum or rational residue: it is the independent oracle for the closed
+    form, sharing none of its machinery, and a wrong candidate could only
+    lose matches, which the closed form would then contradict.
     """
     q = abs(delta(z1, z2))
     if q == 0:
         raise ValueError("determinant vanishes")
-    return Fraction(int(_g0_brute_counts(q, [(z1, z2)])[0]), q)
+    return Fraction(int(_g0_brute_counts(q, _pair_coords([(z1, z2)]))[0]), q)
 
 
 def _is_odd(z: GaussianInt) -> bool:
@@ -351,8 +411,9 @@ def _lemma_84_failure(z1: GaussianInt, z2: GaussianInt) -> str | None:
     return None
 
 
-def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> Fraction:
-    # 2 sum_{d | q/4} phi(d)/d (T / d) over the divisor table of q/4
+def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> int:
+    # q G0 = 8 sum_{d | q/4} (q/4d) phi(d) (T / d), over the divisor table of
+    # q/4: T is read only through these symbols
     base = q // 4
     num = 0  # running sum of (base/d) phi(d) (T / d)
     for d, ph in divs:
@@ -361,28 +422,29 @@ def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> Fraction:
         if t % 2 == 0:
             t += dodd  # odd representative of the same class mod dodd
         num += (base // d) * ph * jacobi_extended(t, d)
-    return Fraction(2 * num, base)
+    return 8 * num
 
 
-def _g0_closed_forms(q: int, pairs) -> list[Fraction]:
-    # G0_formula on pairs in the Lemma 8.4 domain that share |Delta| = q; the
-    # caller has checked the domain.  The closed form reads a pair only
-    # through q and T = z2/z1 mod the odd part of q/4 (in the domain
-    # z2 = z1 (mod 8), so 8 divides Delta): q/4 is factorized and its divisor
-    # table built once, and the sum is taken once per distinct T.
-    qodd = q // (q & -q)
-    divs: list[tuple[int, int]] = []
-    sums: dict[int, Fraction] = {}
-    out = []
-    for z1, z2 in pairs:
-        if (qz := abs(delta(z1, z2))) != q:
-            raise ValueError(f"|Delta| = {qz} in the group of |Delta| = {q}")
-        T = rational_residue(z1, z2, qodd) if qodd > 1 else 1
-        if T not in sums:
-            divs = divs or _divisors_phi(factorize(q // 4))
-            sums[T] = _g0_divisor_sum(q, T, divs)
-        out.append(sums[T])
-    return out
+def _g0_closed_forms(q: int, c: np.ndarray) -> np.ndarray:
+    # q G0_formula of each pair of the coordinate rows c (see _pair_coords),
+    # pairs in the Lemma 8.4 domain that share |Delta| = q; the caller has
+    # checked the domain, and the class is checked here on the whole group.
+    # The closed form reads a pair only through q and the symbols (T / d) of
+    # T = z2/z1 mod the odd part m of q/4 (in the domain z2 = z1 (mod 8), so
+    # 8 divides Delta).  Re(conj z1 z2) = T |z1|^2 (mod m), and |z1|^2 is
+    # prime to m in the domain, so T |z1|^4 has T's symbols and needs no
+    # inverse: q/4 is factorized once, and the sum is taken once per
+    # distinct such key.
+    if (bad := _delta_abs(c) != q).any():
+        raise ValueError(f"|Delta| = {_delta_abs(c)[bad][0]} in the group of |Delta| = {q}")
+    m = q // (q & -q)
+    r1, s1, r2, s2 = c.T
+    dot, n1 = (r1 * r2 + s1 * s2) % m, (r1 * r1 + s1 * s1) % m
+    if m >= _COORD_CAP:
+        dot = dot.astype(object)  # keeps dot * n1 exact
+    keys, at = np.unique(dot * n1 % m, return_inverse=True)
+    divs = _divisors_phi(factorize(q // 4))
+    return np.array([_g0_divisor_sum(q, int(k), divs) for k in keys.tolist()])[at]
 
 
 def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
@@ -393,7 +455,8 @@ def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     """
     if failure := _lemma_84_failure(z1, z2):
         raise ValueError(failure)
-    return _g0_closed_forms(abs(delta(z1, z2)), [(z1, z2)])[0]
+    q = abs(delta(z1, z2))
+    return Fraction(int(_g0_closed_forms(q, _pair_coords([(z1, z2)]))[0]), q)
 
 
 def root_to_representation(nu: int, d: int) -> tuple[int, int]:

@@ -168,20 +168,19 @@ _G0_CHUNK = 1 << 15
 
 def g0(bound: int, cases: int, rng: random.Random):
     """G0 closed form = enumeration on every hypothesis pair with norms <= bound,
-    each chunk of pairs checked one |Delta| class at a time."""
+    each chunk of pairs read into one coordinate array, grouped by |Delta| in
+    numpy and checked one |Delta| class at a time."""
     t = Tally()
     pairs = lattice.hypothesis_pairs(bound)
     while chunk := list(itertools.islice(pairs, _G0_CHUNK)):
-        groups: dict[int, list[int]] = {}
-        for i, (z1, z2) in enumerate(chunk):
-            groups.setdefault(abs(delta(z1, z2)), []).append(i)
+        c = congruences._pair_coords(chunk)
+        qs, at = np.unique(congruences._delta_abs(c), return_inverse=True)
         ok = np.zeros(len(chunk), dtype=bool)
-        for q, idx in groups.items():
-            group = [chunk[i] for i in idx]  # in the Lemma 8.4 domain, as generated
-            closed = congruences._g0_closed_forms(q, group)
-            counts = congruences._g0_brute_counts(q, group).tolist()
-            # closed form = count / q, compared as integers
-            ok[idx] = [f.numerator * q == c * f.denominator for f, c in zip(closed, counts)]
+        order = np.argsort(at, kind="stable")  # the pairs of each |Delta| class, in turn
+        for q, idx in zip(qs.tolist(), np.split(order, np.cumsum(np.bincount(at))[:-1])):
+            group = c[idx]
+            closed = congruences._g0_closed_forms(q, group)  # q G0
+            ok[idx] = closed == congruences._g0_brute_counts(q, group)  # compared as integers
         t.cases(ok, chunk.__getitem__)  # tallied in generator order
     return t.result()
 

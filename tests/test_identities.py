@@ -181,16 +181,21 @@ def test_g0_group_kernel_equals_double_loop():
     for z1, z2 in lattice.hypothesis_pairs(500):
         groups[abs(delta(z1, z2))].append((z1, z2))
     # groups of one: a pair of each |Delta| class, and pairs off the closed
-    # form's domain, one with a coordinate far past int64
+    # form's domain, one with a coordinate far past int64; z1, or both
+    # members, not primitive mod q walk a coset of more than one candidate
     singles = [group[0] for group in groups.values()]
     singles += [(G(1, 0), G(1, 8)), (G(-3, 5), G(2, -7)), (G(1, 0), G(10**30 + 1, 8))]
+    singles += [(G(3, 3), G(3, 11)), (G(3, 3), G(3, 9)), (G(9, 3), G(3, 12)), (G(4, 0), G(0, 6))]
+    singles += [(G(4, 0), G(1, 1))]  # gcd(Re z1, Im z1) = |Delta|: every v is a candidate
+    singles += [(G(6, 4), G(2, 10)), (G(2**64 + 1, 1), G(2**64 - 11, 1))]
+    singles += [(G(3 * 2**64, 3), G(3 * 2**64 - 4, 3))]
     for z1, z2 in singles:
         q = abs(delta(z1, z2))
-        counts = congruences._g0_brute_counts(q, [(z1, z2)])
+        counts = congruences._g0_brute_counts(q, congruences._pair_coords([(z1, z2)]))
         assert counts.tolist() == [_double_loop(q, z1, z2)], (z1, z2)
     q, group = max(groups.items(), key=lambda kv: len(kv[1]))
     assert len(group) == 600
-    counts = congruences._g0_brute_counts(q, group)
+    counts = congruences._g0_brute_counts(q, congruences._pair_coords(group))
     assert counts.tolist() == [_double_loop(q, z1, z2) for z1, z2 in group]
 
 
@@ -199,11 +204,11 @@ def test_g0_group_kernel_equals_double_loop():
 @pytest.mark.parametrize("faults", [(1, 4, 8, 10), (25, 27, 29, 31)])
 def test_g0_reports_injected_faults_in_generator_order(monkeypatch, faults):
     pairs = list(lattice.hypothesis_pairs(200))
-    bad = {pairs[i] for i in faults}
+    bad = {(z1.re, z1.im, z2.re, z2.im) for z1, z2 in (pairs[i] for i in faults)}
     kernel = congruences._g0_brute_counts
 
-    def off_by_one(q, group):
-        return kernel(q, group) + np.array([pair in bad for pair in group], dtype=np.int64)
+    def off_by_one(q, c):
+        return kernel(q, c) + np.array([tuple(row) in bad for row in c.tolist()], dtype=np.int64)
 
     monkeypatch.setattr(congruences, "_g0_brute_counts", off_by_one)
     checked, violations, first = identities.run("g0", 200)
@@ -214,9 +219,10 @@ def test_g0_reports_injected_faults_in_generator_order(monkeypatch, faults):
 def test_g0_closed_forms_reject_a_pair_of_another_class():
     z1, z2 = G(1, 4), G(9, 4)
     q = abs(delta(z1, z2))
-    assert congruences._g0_closed_forms(q, [(z1, z2)]) == [G0_formula(z1, z2)]
+    c = congruences._pair_coords([(z1, z2)])
+    assert congruences._g0_closed_forms(q, c).tolist() == [q * G0_formula(z1, z2)]
     with pytest.raises(ValueError):
-        congruences._g0_closed_forms(q + 8, [(z1, z2)])
+        congruences._g0_closed_forms(q + 8, c)
 
 
 def _plain_counts(bound):
