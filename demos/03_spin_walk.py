@@ -24,7 +24,8 @@ for p in prime_range(2, 250):
 print()
 print("x         sum of spins   primes counted   |sum|/x^0.75")
 # one sweep of the segmented sieve, read at each checkpoint
-for x, total, count in spin_walk([10**4, 10**5, 10**6]):
+for row in spin_walk([10**4, 10**5, 10**6]):
+    x, total, count = row["x"], row["spin_sum"], row["prime_count"]
     print(f"{x:<9,} {total:>12,} {count:>16,} {abs(total) / x**0.75:>13.4f}")
 
 print()

@@ -20,10 +20,9 @@ from spinsieve.congruences import (
     N_brute,
     N_formula,
     root_spacing_check,
-    root_to_representation,
     roots_minus_one,
 )
-from spinsieve.gaussian import GaussianInt as G
+from spinsieve.gaussian import GaussianInt as G, root_to_representation
 
 print("=== roots of nu^2 + 1 and two-squares representations ===")
 for d in (5, 13, 25, 65, 985):

@@ -362,11 +362,13 @@ def chi4(n: int) -> int:
 
 @functools.cache
 def _non_residue(p: int) -> int:
-    # The least z with (z/p) = -1, for odd prime p
+    # The least z with (z/p) = -1, for odd prime p; that z has z(z - 1) < p
     z = 2
-    while jacobi(z, p) != -1:
+    while z * (z - 1) < p:
+        if jacobi(z, p) == -1:
+            return z
         z += 1
-    return z
+    raise ValueError("sqrt_mod requires a prime modulus")
 
 
 def _tonelli_shanks(a: int, p: int) -> int | None:
@@ -388,6 +390,8 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+            if i == m:  # for prime p, t has order 2^i with i < m
+                raise ValueError("sqrt_mod requires a prime modulus")
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         c = b * b % p
@@ -428,7 +432,9 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> list[int]:
 
     Complete and sorted; empty when there is no solution.  Non-coprime a is
     handled by peeling the p-adic valuation of a.  p must be prime and is not
-    tested: callers pass the prime they hold from factorize or a sieve.
+    tested: callers pass the prime they hold from factorize or a sieve.  The
+    root search stops at bounds that hold for every prime, so a composite p
+    that runs past them raises ValueError instead of looping.
     """
     if p < 2 or e < 1:
         raise ValueError("sqrt_mod requires a prime p >= 2 and e >= 1")

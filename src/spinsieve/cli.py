@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 from . import decomp, eigen, identities, lattice, sieve
 from ._util import Tally
@@ -39,14 +40,19 @@ def _decades(x: int, checkpoints: int, least: int) -> list[int]:
     return [x // 10**k for k in ks if x // 10**k >= least]
 
 
-def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
+def _sweep(walk: Iterable[dict], timing: bool) -> list[dict]:
     # one sweep serves every checkpoint; runtime_s is the time to reach it
     rows = []
     t0 = time.perf_counter()
-    for row in sieve.theorem1_walk(_decades(x, checkpoints, 1)):
+    for row in walk:
         if timing:
             row["runtime_s"] = time.perf_counter() - t0
         rows.append(row)
+    return rows
+
+
+def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
+    rows = _sweep(sieve.theorem1_walk(_decades(x, checkpoints, 1)), timing)
     return Report(
         command="theorem1",
         parameters={"x": x, "checkpoints": checkpoints},
@@ -56,14 +62,7 @@ def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks
 
 
 def cmd_spin(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
-    # one sweep serves every checkpoint; runtime_s is the time to reach it
-    rows = []
-    t0 = time.perf_counter()
-    for xv, total, count in eigen.spin_walk(_decades(x, checkpoints, 2)):
-        row = {"x": xv, "spin_sum": total, "prime_count": count}
-        if timing:
-            row["runtime_s"] = time.perf_counter() - t0
-        rows.append(row)
+    rows = _sweep(eigen.spin_walk(_decades(x, checkpoints, 2)), timing)
     return Report(
         command="spin",
         parameters={"x": x, "checkpoints": checkpoints},

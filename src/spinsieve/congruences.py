@@ -1,7 +1,7 @@
 """Quadratic-congruence counting kernels.
 
-Roots of nu^2 + 1 = 0 (mod d) and their correspondence with primitive
-two-square representations d = r^2 + s^2, the multiplicative root-counting
+Roots of nu^2 + 1 = 0 (mod d), whose repulsion root_spacing_check scans
+through gaussian.root_to_representation, the multiplicative root-counting
 functions rho, the square-root counts n(a; b), the pair counts
 N(a; q) = #{a g1^2 = g2^2 (mod q)} with their closed forms, the
 exponential sums G(h1, h2) on the determinant modulus, and the
@@ -32,12 +32,18 @@ from .arith import (
     jacobi_extended,
     sqrt_mod,
 )
-from .gaussian import GaussianInt, delta, ggcd, is_primitive, rational_residue
+from .gaussian import (
+    GaussianInt,
+    delta,
+    ggcd,
+    is_primitive,
+    rational_residue,
+    root_to_representation,
+)
 
 __all__ = [
     "RootSet",
     "roots_minus_one",
-    "root_to_representation",
     "rho",
     "rho_b",
     "rho_exp",
@@ -457,33 +463,6 @@ def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:
         raise ValueError(failure)
     q = abs(delta(z1, z2))
     return Fraction(int(_g0_closed_forms(q, _pair_coords([(z1, z2)]))[0]), q)
-
-
-def root_to_representation(nu: int, d: int) -> tuple[int, int]:
-    """The unique (r, s) with d = r^2 + s^2, (r, s) = 1, -s < r <= s and
-    nu s = r (mod d), for nu a root of nu^2 + 1 = 0 (mod d)."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    nu %= d
-    if (nu * nu + 1) % d:
-        raise ValueError("nu is not a root of nu^2 + 1 mod d")
-    if d == 1:
-        return 0, 1
-    # Cornacchia descent: the first Euclid remainder below sqrt(d) is a leg.
-    a, b = d, nu
-    while b * b > d:
-        a, b = b, a % b
-    leg1 = b
-    leg2sq = d - leg1 * leg1
-    leg2 = math.isqrt(leg2sq)
-    if leg2 * leg2 != leg2sq or math.gcd(leg1, leg2) != 1:
-        raise ValueError("no primitive representation")
-    s = max(leg1, leg2)
-    rabs = min(leg1, leg2)
-    for r in ((rabs, -rabs) if rabs else (0,)):
-        if -s < r <= s and (nu * s - r) % d == 0:
-            return r, s
-    raise AssertionError(f"no sign assignment for root {nu} mod {d}")
 
 
 @dataclass

@@ -42,19 +42,23 @@ __all__ = [
 
 
 def kth_root(x: int, k: int) -> int:
-    """Largest integer t with t^k <= x."""
+    """Largest integer t with t^k <= x, in exact integer arithmetic."""
     if x < 0 or k < 1:
         raise ValueError("kth_root needs x >= 0, k >= 1")
     if x < 2 or k == 1:
         return x
-    if k >= x.bit_length():  # 2^k > x; (t + 1)^k below would build a k-bit number
+    if k >= x.bit_length():  # 2^k > x; the powers below would build k-bit numbers
         return 1
-    t = int(round(x ** (1.0 / k)))
-    while t**k > x:
-        t -= 1
-    while (t + 1) ** k <= x:
-        t += 1
-    return t
+    if k == 2:
+        return math.isqrt(x)
+    # Integer Newton from t = 2^ceil(bits / k) > x^(1/k): every step stays at
+    # or above the root and falls until it stops, at the root.
+    t = 1 << -(-x.bit_length() // k)
+    while True:
+        u = ((k - 1) * t + x // t ** (k - 1)) // k
+        if u >= t:
+            return t
+        t = u
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,10 @@ def _spin_block(lo: int, hi: int) -> tuple[int, int]:
     return int(spin_vec(ps).sum()), int(ps.size)
 
 
-def spin_walk(xs: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(x, sum of spins, count) over primes p = 1 (mod 4), p <= x, at each
-    checkpoint x of the ascending xs, from one sweep of a segmented sieve;
-    each triple is yielded as soon as the sweep reaches its x."""
+def spin_walk(xs: Iterable[int]) -> Iterator[dict]:
+    """One report row {x, spin_sum, prime_count} per x of the ascending xs,
+    over primes p = 1 (mod 4), p <= x, from one sweep of a segmented sieve;
+    each row is yielded as soon as the sweep reaches its x."""
     xs = list(xs)
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("checkpoints must ascend")
@@ -161,14 +161,14 @@ def spin_walk(xs: Iterable[int]) -> Iterator[tuple[int, int, int]]:
             total += t
             count += c
             lo = hi
-        yield x, total, count
+        yield {"x": x, "spin_sum": total, "prime_count": count}
 
 
 def spin_sum(x: int) -> tuple[int, int]:
-    """(sum of spins, count) over primes p = 1 (mod 4), p <= x: the
-    one-checkpoint spin_walk."""
-    ((_, total, count),) = spin_walk([x])
-    return total, count
+    """(sum of spins, count) over primes p = 1 (mod 4), p <= x: the one
+    row of spin_walk([x])."""
+    (row,) = spin_walk([x])
+    return row["spin_sum"], row["prime_count"]
 
 
 def lambda_prime_sum(x: int, c: int = 1, psi: HeckeCharacter = TRIVIAL) -> complex:

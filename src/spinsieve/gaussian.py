@@ -1,9 +1,11 @@
 """Exact arithmetic in Z[i].
 
 Norms, conjugation, primary normalization, primitivity, Gaussian gcd and
-factorization, two-squares representations of primes (one at a time, or
-over a whole int64 array of sieved primes), the determinant
-Delta(z1, z2) = Im conj(z1) z2, and rational residues z2/z1 mod m.
+factorization, the representation d = r^2 + s^2 read off a root of
+nu^2 + 1 = 0 (mod d) by the one scalar Cornacchia descent, two-squares
+representations of primes (one at a time, or over a whole int64 array of
+sieved primes), the determinant Delta(z1, z2) = Im conj(z1) z2, and
+rational residues z2/z1 mod m.
 
 A Gaussian integer z = r + is is *odd* when its norm is odd, *primitive*
 when gcd(r, s) = 1, and *primary* when r is odd and s = r - 1 (mod 4);
@@ -33,6 +35,7 @@ __all__ = [
     "is_primitive",
     "ggcd",
     "gaussian_factorize",
+    "root_to_representation",
     "two_squares",
     "two_squares_vec",
     "delta",
@@ -155,21 +158,38 @@ def ggcd(z1: GaussianInt, z2: GaussianInt) -> GaussianInt:
     return _first_quadrant(a)
 
 
+def root_to_representation(nu: int, d: int) -> tuple[int, int]:
+    """The unique (r, s) with d = r^2 + s^2, (r, s) = 1, -s < r <= s and
+    nu s = r (mod d), for nu a root of nu^2 + 1 = 0 (mod d)."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    nu %= d
+    if (nu * nu + 1) % d:
+        raise ValueError("nu is not a root of nu^2 + 1 mod d")
+    if d == 1:
+        return 0, 1
+    # Cornacchia descent: the first Euclid remainder below sqrt(d) is a leg.
+    a, b = d, nu
+    while b * b > d:
+        a, b = b, a % b
+    leg1, leg2 = b, math.isqrt(d - b * b)
+    if leg1 * leg1 + leg2 * leg2 != d or math.gcd(leg1, leg2) != 1:
+        raise ValueError("no primitive representation")
+    rabs, s = sorted((leg1, leg2))
+    for r in (rabs, -rabs):
+        if -s < r <= s and (nu * s - r) % d == 0:
+            return r, s
+    raise AssertionError(f"no sign assignment for root {nu} mod {d}")
+
+
 def two_squares(p: int) -> tuple[int, int]:
     """The unique (r, s) with p = r^2 + s^2, r odd, r, s > 0, for p prime,
-    p = 1 (mod 4).  Cornacchia's algorithm seeded with a root of -1 mod p."""
+    p = 1 (mod 4): the legs of root_to_representation at a root of -1."""
     if p % 4 != 1 or not is_prime(p):
         raise ValueError("two_squares requires a prime p = 1 (mod 4)")
-    x = sqrt_mod(-1, p)[0]
-    a, b = p, x
-    bound = math.isqrt(p)
-    while b > bound:
-        a, b = b, a % b
-    r, s = b, math.isqrt(p - b * b)
-    assert r * r + s * s == p
-    if r % 2 == 0:
-        r, s = s, r
-    return r, s
+    r, s = root_to_representation(sqrt_mod(-1, p)[0], p)
+    r = abs(r)
+    return (r, s) if r % 2 else (s, r)
 
 
 def _isqrt_vec(n: np.ndarray) -> np.ndarray:

@@ -178,9 +178,13 @@ def test_sqrt_mod_examples():
     assert ar.sqrt_mod(9, 5, 2) == [3, 22]
     assert ar.sqrt_mod(2, 3) == []
     assert ar.sqrt_mod(-1, 5) == ar.sqrt_mod(-1, 5, 1) == [2, 3]
-    for p, e in ((1, 1), (0, 3), (5, 0), (-3, 1)):
+    # the last four are composite moduli: the search for a non-residue (25,
+    # 9) and the squaring loop of Tonelli-Shanks (21, 33) stop at bounds
+    # that hold for every prime
+    for a, p, e in ((1, 1, 1), (1, 0, 3), (1, 5, 0), (1, -3, 1),
+                    (24, 25, 1), (-1, 9, 1), (-1, 21, 1), (2, 33, 1)):
         with pytest.raises(ValueError):
-            ar.sqrt_mod(1, p, e)
+            ar.sqrt_mod(a, p, e)
 
 
 def test_sqrt_mod_exhaustive():

@@ -25,10 +25,9 @@ from spinsieve.congruences import (
     rho_exp,
     rho_exp_reduced,
     root_spacing_check,
-    root_to_representation,
     roots_minus_one,
 )
-from spinsieve.gaussian import GaussianInt as G, delta
+from spinsieve.gaussian import GaussianInt as G, delta, root_to_representation
 
 
 def test_roots_neg_square_from_factorization():

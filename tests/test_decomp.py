@@ -27,10 +27,12 @@ from spinsieve.decomp import (
 
 
 def test_kth_root():
-    for x in (0, 1, 63, 64, 65, 10**6, 10**12):
-        for k in (1, 2, 3, 4, 9):
+    # x past 2^1024 has no float root, and at 3^104 the float square root is
+    # 3.6e8 below the integer one
+    for x in (0, 1, 63, 64, 65, 10**6, 10**12, 3**100, 3**104, 10**400, 2**1100):
+        for k in (1, 2, 3, 4, 7, 9):
             t = kth_root(x, k)
-            assert t**k <= x < (t + 1) ** k
+            assert t**k <= x < (t + 1) ** k, (x, k)
 
 
 def test_kth_root_matches_brute_force():

@@ -135,7 +135,7 @@ def test_spin_walk_equals_spin_sum_per_checkpoint():
     xs = [1, 5, 5, 13, 100, 10**4, 2 * 10**6 + 12345]
     seg = eigen._spin_segment(xs[-1])
     xs[-1:-1] = [seg - 1, seg, seg + 1, seg + 2]
-    walk = list(spin_walk(xs))
+    walk = [(w["x"], w["spin_sum"], w["prime_count"]) for w in spin_walk(xs)]
     assert [w[0] for w in walk] == xs
     assert [w[1:] for w in walk] == [spin_sum(x) for x in xs]
     assert walk[-1][1:] == _scalar_spin_sum(2, xs[-1] + 1)

@@ -126,20 +126,25 @@ def test_cli_reports_render_as_plain_json(argv, capsys):
 
 def test_cli_reports_hold_the_scan_and_walk_rows(monkeypatch):
     # the report holds the row objects the library built, not copies of them
-    from spinsieve import cli, sieve
+    from spinsieve import cli, eigen, sieve
 
     rows = [{"d": 1, "A_d": 4, "M_d": 4.0, "g_d": 1.0, "r_d": 0.0}]
     summary = {"moduli": 1}
     monkeypatch.setattr(sieve, "remainder_scan", lambda x, D, timing: (rows, summary))
     rep, _ = cli.cmd_remainder(100, 1, False)
     assert rep.rows is rows and rep.rows[0] is rows[0] and rep.summary is summary
-    walk = [{"x": x, "observed": 1.0, "predicted": 2.0, "ratio": 0.5, "pair_count": 3}
-            for x in (10, 100)]
-    monkeypatch.setattr(sieve, "theorem1_walk", lambda xs: iter(walk))
-    for timing in (False, True):
-        rep, _ = cli.cmd_theorem1(100, 2, timing)
-        assert len(rep.rows) == len(walk) and all(a is b for a, b in zip(rep.rows, walk))
-    assert all("runtime_s" in row for row in walk)  # --timing adds its column in place
+    sweeps = (
+        (sieve, "theorem1_walk", cli.cmd_theorem1,
+         {"observed": 1.0, "predicted": 2.0, "ratio": 0.5, "pair_count": 3}),
+        (eigen, "spin_walk", cli.cmd_spin, {"spin_sum": 1, "prime_count": 3}),
+    )
+    for module, name, cmd, fields in sweeps:
+        walk = [{"x": x, **fields} for x in (10, 100)]
+        monkeypatch.setattr(module, name, lambda xs, walk=walk: iter(walk))
+        for timing in (False, True):
+            rep, _ = cmd(100, 2, timing)
+            assert len(rep.rows) == len(walk) and all(a is b for a, b in zip(rep.rows, walk))
+        assert all("runtime_s" in row for row in walk)  # --timing adds its column in place
 
 
 def test_cli_constants():
