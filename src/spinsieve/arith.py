@@ -79,20 +79,26 @@ def _smallest_prime_factors(x: int) -> np.ndarray:
     return spf
 
 
-def prime_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi) as an int64 array, by a segmented sieve of
-    Eratosthenes whose base primes <= sqrt(hi) come from the same sieve;
-    memory O(hi - lo + sqrt(hi))."""
-    lo = max(lo, 2)
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
+def _prime_mask(lo: int, hi: int) -> np.ndarray:
+    # mask[n - lo] is True iff n is prime, for 2 <= lo <= n < hi: one segment
+    # of the sieve of Eratosthenes, whose base primes <= sqrt(hi) come from
+    # the same sieve
     base = primes_up_to(math.isqrt(hi - 1))
-    seg = np.ones(hi - lo, dtype=bool)
+    mask = np.ones(hi - lo, dtype=bool)
     for p in base.tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
-            seg[start - lo :: p] = False
-    out = np.flatnonzero(seg)
+            mask[start - lo :: p] = False
+    return mask
+
+
+def prime_range(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi) as an int64 array, by a segmented sieve of
+    Eratosthenes; memory O(hi - lo + sqrt(hi))."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return np.empty(0, dtype=np.int64)
+    out = np.flatnonzero(_prime_mask(lo, hi))
     out += lo
     return out
 
@@ -376,7 +382,10 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
     if jacobi(a, p) != 1:
         return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
+        if r * r % p != a:  # for prime p, (a/p) = 1 makes r a root
+            raise ValueError("sqrt_mod requires a prime modulus")
+        return r
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

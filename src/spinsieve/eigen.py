@@ -8,8 +8,10 @@ optional primary primitive twist w) the quadratic eigenvalue of n is
 with [z] the quartic Jacobi-Kubota symbol; lam0(n) strips the character
 and the i-power, summing (s/r) over representations n = r^2 + s^2 with
 r, s > 0 and r odd.  Restricted to primes this is the spin sum whose
-cancellation the desk-scale experiments measure; spin_walk computes it
-segment by segment with the array kernel symbols.spin_vec.
+cancellation the desk-scale experiments measure.  spin_walk computes it
+segment by segment straight from the Gaussian lattice: gaussian.prime_points
+reads each prime's point (r, s) off the segment's sieve mask, and
+arith.jacobi_vec takes all of the segment's spins (s/r) at once.
 
 Enumeration of primary z with a given norm goes through factorization,
 never through O(sqrt n) scans, so sums to 1e7 finish in minutes.
@@ -22,9 +24,9 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .arith import jacobi, prime_range
-from .gaussian import GaussianInt, is_primary, is_primitive, primary_reps
-from .symbols import dirichlet_symbol, jacobi_kubota, spin_vec
+from .arith import jacobi, jacobi_vec, prime_range
+from .gaussian import GaussianInt, is_primary, is_primitive, prime_points, primary_reps
+from .symbols import dirichlet_symbol, jacobi_kubota
 
 __all__ = [
     "HeckeCharacter",
@@ -130,16 +132,17 @@ def lambda0(n: int) -> int:
 
 def _spin_segment(x: int) -> int:
     # Integers per segment of a sweep to x.  Each segment pays a Python step
-    # per sieving prime <= sqrt(x) and about 1.5 ms of numpy calls in the
-    # kernels, so segments grow with sqrt(x); at x = 1e7 this size keeps
-    # that cost small and the working set within the interpreter's own.
+    # per sieving prime and an array entry per odd r, both up to sqrt(x), so
+    # segments grow with sqrt(x).  On 2 vCPUs, sweeps to 1e7, 1e8 and 1e9
+    # with 64 to 256 sqrt(x) a segment were within 15% of each other, 128
+    # best or near it at each x; the mask stays a few MB at the 1e9 cap.
     return max(1 << 16, 128 * math.isqrt(x))
 
 
 def _spin_block(lo: int, hi: int) -> tuple[int, int]:
-    ps = prime_range(lo, hi)
-    ps = ps[ps % 4 == 1]
-    return int(spin_vec(ps).sum()), int(ps.size)
+    # (sum of spins, count) over the primes p = 1 (mod 4) in [lo, hi)
+    r, s = prime_points(lo, hi)
+    return int(jacobi_vec(s, r).sum()), int(r.size)  # (s/1) = 1, as spin has it
 
 
 def spin_walk(xs: Iterable[int]) -> Iterator[dict]:

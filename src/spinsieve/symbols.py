@@ -28,7 +28,6 @@ from .gaussian import (
     is_primitive,
     primary_associate,
     two_squares,
-    two_squares_vec,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "epsilon_factor",
     "epsilon_factor_vec",
     "spin",
-    "spin_vec",
     "primary_gcd_cofactor",
 ]
 
@@ -169,15 +167,6 @@ def spin(p: int) -> int:
     """Spin (s/r) of a prime p = 1 (mod 4) with p = r^2 + s^2, r odd, r,s > 0."""
     r, s = two_squares(p)
     return jacobi(s, r) if r > 1 else 1
-
-
-def spin_vec(p) -> np.ndarray:
-    """spin(p) for every entry of an int64 array of primes p = 1 (mod 4):
-    (s/r) from two_squares_vec and jacobi_vec, as int8.  Entries are trusted
-    prime; p above arith.INT64_MOD_MAX raises ValueError.  spin is the
-    oracle."""
-    r, s = two_squares_vec(p)
-    return jacobi_vec(s, r)  # (s/1) = 1, as spin has it for r = 1
 
 
 def primary_gcd_cofactor(

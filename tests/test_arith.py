@@ -178,11 +178,13 @@ def test_sqrt_mod_examples():
     assert ar.sqrt_mod(9, 5, 2) == [3, 22]
     assert ar.sqrt_mod(2, 3) == []
     assert ar.sqrt_mod(-1, 5) == ar.sqrt_mod(-1, 5, 1) == [2, 3]
-    # the last four are composite moduli: the search for a non-residue (25,
+    # the last six are composite moduli: the search for a non-residue (25,
     # 9) and the squaring loop of Tonelli-Shanks (21, 33) stop at bounds
-    # that hold for every prime
+    # that hold for every prime, and for p = 3 (mod 4) the root
+    # a^((p+1)/4) is checked (15, 35: 4^4 = 1 mod 15, 4^9 = 29 mod 35)
     for a, p, e in ((1, 1, 1), (1, 0, 3), (1, 5, 0), (1, -3, 1),
-                    (24, 25, 1), (-1, 9, 1), (-1, 21, 1), (2, 33, 1)):
+                    (24, 25, 1), (-1, 9, 1), (-1, 21, 1), (2, 33, 1),
+                    (4, 15, 1), (4, 35, 1)):
         with pytest.raises(ValueError):
             ar.sqrt_mod(a, p, e)
 

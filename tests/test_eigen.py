@@ -121,6 +121,12 @@ def _scalar_spin_sum(lo, hi):
     return sum(spin(p) for p in ps), len(ps)
 
 
+def test_spin_block_matches_scalar_spin_sum():
+    # every p = 1 (mod 4) up to 1e6, and every such p in [1e9 - 2e6, 1e9]
+    for lo, hi in ((2, 10**6 + 1), (10**9 - 2 * 10**6, 10**9 + 1)):
+        assert eigen._spin_block(lo, hi) == _scalar_spin_sum(lo, hi), (lo, hi)
+
+
 def test_spin_sum_small_x():
     for x in (1, 2, 4, 5, 13):
         assert spin_sum(x) == _scalar_spin_sum(2, x + 1), x

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinsieve.arith import INT64_MOD_MAX, primes_up_to
+from spinsieve import gaussian
+from spinsieve.arith import is_prime, prime_range, primes_up_to
 from spinsieve.gaussian import (
     GaussianInt as G,
     conj,
@@ -16,10 +17,10 @@ from spinsieve.gaussian import (
     is_primary,
     is_primitive,
     primary_associate,
+    prime_points,
     primary_reps,
     rational_residue,
     two_squares,
-    two_squares_vec,
 )
 
 UNITS = (G(1, 0), G(0, 1), G(-1, 0), G(0, -1))
@@ -157,18 +158,65 @@ def test_primary_reps_against_brute():
         )
 
 
-def test_two_squares_vec_matches_two_squares():
-    ps = primes_up_to(10**5)
-    ps = ps[ps % 4 == 1]
-    r, s = two_squares_vec(ps)
-    assert list(zip(r.tolist(), s.tolist())) == [two_squares(p) for p in ps.tolist()]
-    r, s = two_squares_vec(np.array([5, 13, 97, 999999937]))
-    assert r.tolist() == [1, 3, 9, 8929] and s.tolist() == [2, 2, 4, 30336]
-    assert 8929**2 + 30336**2 == 999999937
-    assert all(a.size == 0 for a in two_squares_vec(np.empty(0, dtype=np.int64)))
-    for bad in (7, 2 * INT64_MOD_MAX + 1):
+def _points_by_norm(lo, hi):
+    # prime_points(lo, hi) as a list of (r, s), sorted by r^2 + s^2
+    r, s = (a.tolist() for a in prime_points(lo, hi))
+    return sorted(zip(r, s), key=lambda t: t[0] ** 2 + t[1] ** 2)
+
+
+def test_prime_points_match_two_squares():
+    # every p = 1 (mod 4) up to 1e5, and every such p in [1e9 - 2e5, 1e9]
+    for lo, hi in ((1, 10**5 + 1), (10**9 - 2 * 10**5, 10**9 + 1)):
+        ps = [p for p in prime_range(lo, hi).tolist() if p % 4 == 1]
+        assert _points_by_norm(lo, hi) == [two_squares(p) for p in ps], (lo, hi)
+    assert _points_by_norm(999999937, 999999938) == [(8929, 30336)]
+    r, s = prime_points(2, 100)
+    assert r.dtype == s.dtype == np.int64
+    assert list(zip(r.tolist(), s.tolist())) == [  # lattice order: by r, then s
+        (1, 2), (1, 4), (1, 6), (3, 2), (3, 8), (5, 2), (5, 4), (5, 6), (5, 8), (7, 2), (9, 4)
+    ]
+
+
+def test_prime_points_regime_edges():
+    # windows that start or end on a prime point, the window [2, 3), one-wide
+    # windows and windows with no prime p = 1 (mod 4)
+    assert _points_by_norm(5, 6) == [(1, 2)]
+    assert _points_by_norm(2, 6) == [(1, 2)]
+    assert _points_by_norm(2, 5) == []
+    assert _points_by_norm(5, 14) == [(1, 2), (3, 2)]
+    assert _points_by_norm(6, 14) == [(3, 2)]
+    assert _points_by_norm(13, 30) == [(3, 2), (1, 4), (5, 2)]
+    assert _points_by_norm(14, 29) == [(1, 4)]
+    for lo, hi in ((2, 3), (1, 2), (0, 5), (29, 29), (30, 20), (6, 13), (30, 37), (114, 127)):
+        assert _points_by_norm(lo, hi) == [], (lo, hi)
+    for p in (5, 13, 29, 97, 10**9 - 63):
+        assert _points_by_norm(p, p + 1) == [two_squares(p)], p
+        assert _points_by_norm(p + 1, p + 2) == [], p
+
+
+def test_prime_points_chunk_boundary(monkeypatch):
+    # chunks far smaller than a row of r split rows anywhere; the points are
+    # the same for every chunk size
+    lo, hi = 10**6 - 5000, 10**6 + 3000
+    r, s = prime_points(lo, hi)
+    assert r.size > 100 and (r[1:] == r[:-1]).sum() > 50  # rows hold several points
+    for chunk in (1, 2, 3, 37, r.size, 4 * r.size):
+        monkeypatch.setattr(gaussian, "_POINT_CHUNK", chunk)
+        rc, sc = prime_points(lo, hi)
+        assert rc.tolist() == r.tolist() and sc.tolist() == s.tolist(), chunk
+        assert _points_by_norm(2, 200) == [two_squares(p) for p in range(2, 200)
+                                           if p % 4 == 1 and is_prime(p)], chunk
+
+
+def test_prime_points_int32_cap():
+    # r^2 + s^2 is held in int32, so hi is capped at 2^31 - 1
+    top = (1 << 31) - 1
+    assert _points_by_norm(top - 100, top) == [
+        two_squares(p) for p in prime_range(top - 100, top).tolist() if p % 4 == 1
+    ]
+    for hi in (top + 1, 1 << 32, 10**12):
         with pytest.raises(ValueError):
-            two_squares_vec([5, bad])
+            prime_points(hi - 10, hi)
 
 
 def test_delta():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinsieve import identities
-from spinsieve.arith import INT64_MOD_MAX, jacobi, prime_range
+from spinsieve.arith import jacobi
 from spinsieve.gaussian import GaussianInt as G, conj, up_to_norm
 from spinsieve.symbols import (
     dirichlet_symbol,
@@ -18,7 +18,6 @@ from spinsieve.symbols import (
     jacobi_kubota_vec,
     primary_gcd_cofactor,
     spin,
-    spin_vec,
 )
 
 
@@ -180,15 +179,3 @@ def test_spin():
     assert spin(29) == -1
     with pytest.raises(ValueError):
         spin(7)
-
-
-def test_spin_vec_matches_spin():
-    # every p = 1 (mod 4) up to 1e6, and every such p in [1e9 - 2e6, 1e9]
-    for lo, hi in ((1, 10**6 + 1), (10**9 - 2 * 10**6, 10**9 + 1)):
-        ps = prime_range(lo, hi)
-        ps = ps[ps % 4 == 1]
-        assert spin_vec(ps).tolist() == [spin(p) for p in ps.tolist()]
-    assert spin_vec(np.array([5, 13, 29])).tolist() == [1, -1, -1]
-    assert spin_vec(np.empty(0, dtype=np.int64)).size == 0
-    with pytest.raises(ValueError):
-        spin_vec([5, 4 * INT64_MOD_MAX + 1])
