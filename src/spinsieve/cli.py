@@ -52,12 +52,13 @@ def _sweep(walk: Iterable[dict], timing: bool) -> list[dict]:
 
 
 def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
-    rows = _sweep(sieve.theorem1_walk(_decades(x, checkpoints, 1)), timing)
+    stats = {} if timing else None  # the walk's stage seconds and counters
+    rows = _sweep(sieve.theorem1_walk(_decades(x, checkpoints, 1), stats=stats), timing)
     return Report(
         command="theorem1",
         parameters={"x": x, "checkpoints": checkpoints},
         rows=rows,
-        summary={"final_ratio": rows[-1]["ratio"] if rows else 0.0},
+        summary={"final_ratio": rows[-1]["ratio"] if rows else 0.0, **(stats or {})},
     ), {}
 
 

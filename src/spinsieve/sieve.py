@@ -11,6 +11,8 @@ constant 4/pi, and the desk-scale prime-values experiment
 The experiment finds the prime values with a root sieve on each b-line: a
 prime p <= sqrt(x) divides a^2 + b^4 only on the classes a = +-nu b^2
 (mod p) with nu^2 = -1 (mod p), or a = 0 when p | b, or a = b (mod 2).
+p = 2 is a wheel, so each line is sieved on its odd values alone, in one
+buffer that every line reuses.
 
 Counts are exact integers; densities are exact rationals; only the final
 Lambda-weighted sums are floating point (deterministic block order).
@@ -364,8 +366,16 @@ def _prime_power_table(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return vals[order], np.array(logs, dtype=np.float64)[order]
 
 
-# A residue class whose prime p has at least this many members on a line is
-# marked with a strided slice; the sparser classes go through one scatter.
+def _is_square(v: np.ndarray) -> np.ndarray:
+    # v >= 0 below 2^53: float64 holds v exactly and rounds sqrt(v) correctly,
+    # so s = int(sqrt(v)) is exact at a square, and s * s == v only there
+    s = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    return s * s == v
+
+
+# A residue class whose prime p has at least this many members on a
+# half-line is marked with a strided slice; the sparser classes are marked
+# together, one member of each per round.
 _SLICE_MIN_HITS = 32
 
 
@@ -376,9 +386,15 @@ class _RootSieve:
       p = 2:           a = b (mod 2);
       p = 1 (mod 4):   a = +-nu_p b^2 (mod p), where nu_p^2 = -1 (mod p);
       p = 3 (mod 4):   p | b and p | a.
-    These are the rho(p) = 1 + chi4(p) roots the paper sieves with.  A value
-    above sqrt(x) is prime iff no prime p <= sqrt(x) divides it; values up to
-    sqrt(x) are read from a prime table.  Memory is O(sqrt(x)) per line.
+    These are the rho(p) = 1 + chi4(p) roots the paper sieves with.  p = 2
+    is a wheel: a line is sieved only on its odd values, a = a0 + 2j with
+    a0 = 1 + (b mod 2), where the class a = r (mod p) of an odd p is
+    j = (r - a0)(p + 1)/2 (mod p).  The one even prime, 2 = 1^2 + 1^4, is
+    added back on the line b = 1.  A value above sqrt(x) is prime iff no
+    prime p <= sqrt(x) divides it; values up to sqrt(x) are read from a
+    prime table.  One bool buffer, sized for the longest half-line plus a
+    slack of sqrt(x), is allocated here and reused by every line, so memory
+    is O(sqrt(x)).
     """
 
     def __init__(self, x: int, primes: np.ndarray):
@@ -388,35 +404,51 @@ class _RootSieve:
         self.table[primes] = True
         self.split = primes[primes % 4 == 1]
         self.nu = sqrt_neg_one_vec(self.split)
+        self.half = (self.split + 1) // 2  # 1/2 mod p
+        self.nu_half = self.nu * self.half % self.split
+        self.ps = np.repeat(self.split, 2)  # the classes +-nu b^2 of each split p
         self.inert = primes[primes % 4 == 3]
+        # The half-lines of b = 1 and b = 2 are the longest two.  A sparse
+        # class may step up to p past the end of its line, into the slack.
+        self.buf = np.empty((math.isqrt(max(x - 1, 0)) + 1) // 2 + self.root, dtype=bool)
 
     def line(self, b: int, amax: int) -> np.ndarray:
-        """Mask over a = 1..amax: True where a^2 + b^4 is prime."""
-        split = self.split
-        nub2 = self.nu * (b * b % split) % split
-        inert = self.inert[b % self.inert == 0]
-        ps = np.concatenate((split, split, inert))
-        roots = np.concatenate((nub2, (split - nub2) % split, np.zeros_like(inert)))
-        first = (roots - 1) % ps  # index a - 1 of the least a >= 1 in each class
-        composite = np.zeros(amax, dtype=bool)
-        if self.root >= 2:
-            composite[(b - 1) % 2 :: 2] = True
-        dense = ps * _SLICE_MIN_HITS <= amax
-        for p, i in zip(ps[dense].tolist(), first[dense].tolist()):
-            composite[i::p] = True
-        ps, first = ps[~dense], first[~dense]
-        hits = (amax - 1 - first) // ps + 1
-        rank = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
-        composite[np.repeat(first, hits) + rank * np.repeat(ps, hits)] = True
-        prime = ~composite
+        """a - 1, ascending, at every prime a^2 + b^4 with 1 <= a <= amax."""
+        a0 = 1 + b % 2
+        n = (amax - a0) // 2 + 1  # the half-line a = a0 + 2j, 0 <= j < n
+        live = self.buf[:n]
+        live.fill(True)
+        for p in self.inert[b % self.inert == 0].tolist():
+            live[-a0 * ((p + 1) // 2) % p :: p] = False
+        # j = (+-nu b^2 - a0) / 2 (mod p); nu/2 b^2 < p b^2 <= x stays exact
+        split, ps = self.split, self.ps
+        t = self.nu_half * (b * b) % split
+        shift = self.half if a0 == 1 else 1
+        js = np.stack(((t - shift) % split, (-t - shift) % split), axis=1).ravel()
+        dense = int(np.searchsorted(ps, n // _SLICE_MIN_HITS, side="right"))
+        for p, j in zip(ps[:dense].tolist(), js[:dense].tolist()):
+            live[j::p] = False
+        # The sparse classes, p ascending, a round per member: round r marks
+        # j + r p for the prefix of classes with r p < n, so a mark lands
+        # below n + p, on the line or in the slack.
+        ps, js = ps[dense:], js[dense:]
+        self.buf[js] = False
+        for m in np.searchsorted(ps, -(-n // np.arange(1, _SLICE_MIN_HITS))).tolist():
+            if not m:
+                break
+            js[:m] += ps[:m]
+            self.buf[js[:m]] = False
         b4 = b**4
         if b4 < self.root:
-            low = np.arange(1, math.isqrt(self.root - b4) + 1, dtype=np.int64)
-            prime[: low.size] = self.table[low * low + b4]
-        return prime
+            a = np.arange(a0, math.isqrt(self.root - b4) + 1, 2, dtype=np.int64)
+            live[: a.size] = self.table[a * a + b4]
+        at = np.flatnonzero(live)
+        at *= 2
+        at += a0 - 1
+        return np.concatenate(([0], at)) if b == 1 else at
 
 
-def theorem1_walk(xs: Iterable[int]) -> Iterator[dict]:
+def theorem1_walk(xs: Iterable[int], stats: dict | None = None) -> Iterator[dict]:
     """One report row {x, observed, predicted, ratio, pair_count} per x of
     the ascending xs: the observed sum of Lambda(a^2 + b^4) over positive
     a, b (pairs counted with multiplicity, prime powers included) against
@@ -426,9 +458,14 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[dict]:
     One sweep over the b-lines of the largest x, X, serves every x.  The
     prime values come from the root sieve of _RootSieve over the primes
     <= sqrt(X), with no primality test per value, and the prime powers p^k,
-    k >= 2, from a table of them; a smaller x reads the prefix
-    a <= sqrt(x - b^4) of each line.  Each row is yielded as soon as the
-    sweep passes its x.  Memory is O(sqrt(X))."""
+    k >= 2, from a table of them: p^k lies on the line b when p^k - b^4 is
+    a square, which _is_square tests in float64, exact below 2^53.  A
+    smaller x reads the prefix a <= sqrt(x - b^4) of each line.  Each row
+    is yielded as soon as the sweep passes its x.  Memory is O(sqrt(X)).
+    A stats dict, when given, receives once the walk ends the seconds of
+    each stage (sieve_setup_s, line_sieve_s, log_sums_s, prime_powers_s)
+    and the counts of lines, prime_values and prime_powers on the lines
+    of X."""
     xs = list(xs)
     if not xs:
         return
@@ -438,11 +475,16 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[dict]:
         raise ValueError("x must be positive")
     if xs[-1] > 10**11:
         raise ValueError("x capped at 1e11")
+    clock = time.perf_counter
+    t0 = clock()
     X = xs[-1]
     primes = primes_up_to(math.isqrt(X))
     pp, pp_logs = _prime_power_table(X, primes)
     root_sieve = _RootSieve(X, primes)
     a2 = np.arange(1, math.isqrt(X - 1) + 1, dtype=np.int64) ** 2  # the line b = 1, the longest
+    setup_s = clock() - t0
+    line_s = logs_s = powers_s = 0.0
+    prime_values = prime_powers = 0
     # Each x sums its lines in blocks of bmax(x) // 8 + 1 lines, a line as its
     # log-sum then its prime-power sum, and fsum adds the blocks: this order
     # fixes the last digits of observed.
@@ -459,15 +501,22 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[dict]:
                    "ratio": observed / predicted, "pair_count": pairs[done]}
             done += 1
         if done == len(xs):
+            if stats is not None:
+                stats.update(sieve_setup_s=setup_s, line_sieve_s=line_s, log_sums_s=logs_s,
+                             prime_powers_s=powers_s, lines=b - 1,
+                             prime_values=prime_values, prime_powers=prime_powers)
             return
         amax = math.isqrt(X - b4)
-        at = np.flatnonzero(root_sieve.line(b, amax))  # a - 1 at the prime values
+        t0 = clock()
+        at = root_sieve.line(b, amax)  # a - 1 at the prime values
+        t1 = clock()
         logs = np.log((a2[at] + b4).astype(np.float64))
+        t2 = clock()
         # the prime powers in (b^4, amax^2 + b^4] that lie on the line
-        lo, hi = np.searchsorted(pp, [b4, a2[amax - 1] + b4], side="right")
-        rest = pp[lo:hi] - b4
-        on = a2[np.searchsorted(a2, rest)] == rest
+        lo, hi = np.searchsorted(pp, [b4, amax * amax + b4], side="right")
+        on = _is_square(pp[lo:hi] - b4)
         pp_on, pp_on_logs = pp[lo:hi][on], pp_logs[lo:hi][on]
+        t3 = clock()
         for i, x in enumerate(xs[done:], done):
             ax = math.isqrt(x - b4)
             k = np.searchsorted(at, ax)  # the prime values with a <= ax
@@ -477,6 +526,11 @@ def theorem1_walk(xs: Iterable[int]) -> Iterator[dict]:
             parts[i][-1] += float(logs[:k].sum())
             parts[i][-1] += float(pp_on_logs[:j].sum())
             pairs[i] += ax
+        line_s += t1 - t0
+        logs_s += t2 - t1 + clock() - t3
+        powers_s += t3 - t2
+        prime_values += at.size
+        prime_powers += pp_on.size
 
 
 def theorem1_experiment(x: int) -> dict:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinsieve import arith as ar
 from spinsieve.cli import _build_parser, main
 from spinsieve.reports import REPORT_SCHEMA, Report
 
@@ -140,7 +142,7 @@ def test_cli_reports_hold_the_scan_and_walk_rows(monkeypatch):
     )
     for module, name, cmd, fields in sweeps:
         walk = [{"x": x, **fields} for x in (10, 100)]
-        monkeypatch.setattr(module, name, lambda xs, walk=walk: iter(walk))
+        monkeypatch.setattr(module, name, lambda xs, stats=None, walk=walk: iter(walk))
         for timing in (False, True):
             rep, _ = cmd(100, 2, timing)
             assert len(rep.rows) == len(walk) and all(a is b for a, b in zip(rep.rows, walk))
@@ -188,7 +190,18 @@ def test_cli_theorem1_runtime_only_under_timing():
     assert checks == {}
     times = [row.pop("runtime_s") for row in timed.rows]
     assert times == sorted(times) and times[0] >= 0  # elapsed time to reach each checkpoint
-    assert timed.rows == plain.rows and timed.summary == plain.summary
+    assert timed.rows == plain.rows
+    # --timing adds exactly the walk's stage seconds and counters to the summary
+    stages = ("sieve_setup_s", "line_sieve_s", "log_sums_s", "prime_powers_s")
+    counters = ("lines", "prime_values", "prime_powers")
+    extra = {k: timed.summary.pop(k) for k in stages + counters}
+    assert timed.summary == plain.summary
+    assert all(extra[k] >= 0 for k in stages)
+    values = [a * a + b**4 for b in range(1, 32) for a in range(1, math.isqrt(10**6 - b**4) + 1)]
+    lam = [(ar.is_prime(n), ar.von_mangoldt(n) > 0) for n in values]
+    assert extra["lines"] == 31  # 31^4 < 10^6 < 32^4
+    assert extra["prime_values"] == sum(p for p, _ in lam)
+    assert extra["prime_powers"] == sum(pk and not p for p, pk in lam) > 0
 
 
 def test_cli_identities_runtime_only_under_timing():

@@ -144,6 +144,16 @@ def test_theorem1_summation_order_pinned():
         assert rep["observed"] == observed and rep["pair_count"] == pairs, x
 
 
+def test_theorem1_walk_pinned_to_1e9():
+    # exact values, as computed before the wheel and the square test
+    assert list(sv.theorem1_walk([10**8, 10**9])) == [
+        {"x": 10**8, "observed": 1105252.6793646512, "predicted": 1112835.7888987646,
+         "ratio": 0.9931857785220787, "pair_count": 868545},
+        {"x": 10**9, "observed": 6245396.512788453, "predicted": 6257935.522485789,
+         "ratio": 0.9979963025102638, "pair_count": 4898636},
+    ]
+
+
 def test_theorem1_walk_rows_equal_one_checkpoint_runs(monkeypatch):
     # one sweep serves every checkpoint, and a smaller x reads a prefix of
     # each line; a one-checkpoint run reads no prefix, so it is the oracle
@@ -186,6 +196,11 @@ def test_root_sieve_roots_equal_scalar_sqrt_mod():
         assert rs.nu.tolist() == [ar.sqrt_mod(-1, p)[0] for p in rs.split.tolist()]
 
 
+def _prime_at(b, amax):
+    """a - 1 at every prime a^2 + b^4, 1 <= a <= amax, by is_prime."""
+    return [a - 1 for a in range(1, amax + 1) if ar.is_prime(a * a + b**4)]
+
+
 def test_root_sieve_equals_is_prime_on_every_line():
     # x = 2, 3: sqrt(x) < 2, so p = 2 must not remove n = 2
     for x in (2, 3, 4, 5, 17, 18, 100, 257, 10**4, 10**6):
@@ -193,8 +208,25 @@ def test_root_sieve_equals_is_prime_on_every_line():
         lines = list(_lines(x))
         assert lines, x
         for b, amax in lines:
-            want = [ar.is_prime(a * a + b**4) for a in range(1, amax + 1)]
-            assert rs.line(b, amax).tolist() == want, (x, b)
+            assert rs.line(b, amax).tolist() == _prime_at(b, amax), (x, b)
+
+
+def test_root_sieve_keeps_the_even_prime():
+    # 2 = 1^2 + 1^4 is the one value off the odd half-lines the wheel sieves
+    for x in (2, 3, 4):
+        assert list(_lines(x)) == [(1, 1)]
+        assert _root_sieve(x).line(1, 1).tolist() == [0], x
+        assert sv.theorem1_experiment(x)["observed"] == math.log(2), x
+
+
+def test_root_sieve_reuses_its_buffer_in_any_line_order():
+    # the buffer of one line must leave no mark on the next, longer or shorter
+    x = 10**6
+    rs = _root_sieve(x)
+    amax = dict(_lines(x))
+    last = max(amax)
+    for b in (3, 1, 3, last, 2, 1, last, 30, 2):
+        assert rs.line(b, amax[b]).tolist() == _prime_at(b, amax[b]), b
 
 
 def test_root_sieve_above_2_32():
@@ -205,10 +237,10 @@ def test_root_sieve_above_2_32():
     for b, amax in _lines(x):
         if b <= 2:
             assert amax**2 + b**4 > 2**32, b  # the line crosses 2^32
-        mask = rs.line(b, amax)
+        at = set(rs.line(b, amax).tolist())
         a0 = math.isqrt(max(lo - b**4, 0)) + 1  # least a with a^2 + b^4 > lo
         for a in range(a0, amax + 1):
-            assert mask[a - 1] == ar.is_prime(a * a + b**4), (b, a)
+            assert (a - 1 in at) == ar.is_prime(a * a + b**4), (b, a)
             checked += 1
     assert checked > 3000
 
@@ -220,8 +252,35 @@ def test_root_sieve_last_line():
             x = b**4 + gap
             amax = math.isqrt(gap)
             assert max(bl for bl, _ in _lines(x)) == b and amax in (1, 2)
-            want = [ar.is_prime(a * a + b**4) for a in range(1, amax + 1)]
-            assert _root_sieve(x).line(b, amax).tolist() == want, (b, gap)
+            assert _root_sieve(x).line(b, amax).tolist() == _prime_at(b, amax), (b, gap)
+
+
+def _line_prime_powers(x):
+    """(b, the prime powers p^k, k >= 2, in (b^4, amax^2 + b^4], and the
+    square test's mask over them) for every line of x."""
+    pp, _ = sv._prime_power_table(x, ar.primes_up_to(math.isqrt(x)))
+    for b, amax in _lines(x):
+        lo, hi = np.searchsorted(pp, [b**4, amax * amax + b**4], side="right")
+        yield b, pp[lo:hi], sv._is_square(pp[lo:hi] - b**4)
+
+
+def test_square_test_finds_the_prime_powers_on_every_line():
+    found = 0
+    for b, vals, on in _line_prime_powers(10**9):
+        want = [math.isqrt(v - b**4) ** 2 == v - b**4 for v in vals.tolist()]
+        assert on.tolist() == want, b
+        found += sum(want)
+    assert found > 0
+    # at the cap, against a search of the squares of the longest line
+    x = 10**11
+    a2 = np.arange(1, math.isqrt(x - 1) + 1, dtype=np.int64) ** 2
+    for b, vals, on in _line_prime_powers(x):
+        rest = vals - b**4
+        assert (on == (a2[np.searchsorted(a2, rest)] == rest)).all(), b
+    # exact at and next to the squares of the cap
+    s = np.arange(math.isqrt(x) - 1000, math.isqrt(x) + 1, dtype=np.int64)
+    assert sv._is_square(s * s).all()
+    assert not sv._is_square(s * s - 1).any() and not sv._is_square(s * s + 1).any()
 
 
 def test_theorem1_equals_direct_lambda_sum():
