@@ -63,12 +63,13 @@ def cmd_theorem1(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks
 
 
 def cmd_spin(x: int, checkpoints: int, timing: bool) -> tuple[Report, Checks]:
-    rows = _sweep(eigen.spin_walk(_decades(x, checkpoints, 2)), timing)
+    stats = {} if timing else None  # the walk's stage seconds and counters
+    rows = _sweep(eigen.spin_walk(_decades(x, checkpoints, 2), stats=stats), timing)
     return Report(
         command="spin",
         parameters={"x": x, "checkpoints": checkpoints},
         rows=rows,
-        summary={"final_sum": rows[-1]["spin_sum"] if rows else 0},
+        summary={"final_sum": rows[-1]["spin_sum"] if rows else 0, **(stats or {})},
     ), {}
 
 

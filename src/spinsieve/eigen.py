@@ -10,8 +10,11 @@ and the i-power, summing (s/r) over representations n = r^2 + s^2 with
 r, s > 0 and r odd.  Restricted to primes this is the spin sum whose
 cancellation the desk-scale experiments measure.  spin_walk computes it
 segment by segment straight from the Gaussian lattice: gaussian.prime_points
-reads each prime's point (r, s) off the segment's sieve mask, and
-arith.jacobi_vec takes all of the segment's spins (s/r) at once.
+reads each prime's point (r, s) off the segment's sieve mask, which holds
+only the n = 1 (mod 4), and arith.jacobi_vec takes all of the segment's
+spins (s/r) at once, each chain ending in its table of small moduli.  Under
+a stats dict the walk also reports the seconds of these three stages and
+its work counters.
 
 Enumeration of primary z with a given norm goes through factorization,
 never through O(sqrt n) scans, so sums to 1e7 finish in minutes.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -132,39 +136,55 @@ def lambda0(n: int) -> int:
 
 def _spin_segment(x: int) -> int:
     # Integers per segment of a sweep to x.  Each segment pays a Python step
-    # per sieving prime and an array entry per odd r, both up to sqrt(x), so
-    # segments grow with sqrt(x).  On 2 vCPUs, sweeps to 1e7, 1e8 and 1e9
-    # with 64 to 256 sqrt(x) a segment were within 15% of each other, 128
-    # best or near it at each x; the mask stays a few MB at the 1e9 cap.
+    # per sieving prime, an array entry per odd r, both up to sqrt(x), and a
+    # fixed numpy dispatch cost in jacobi_vec's rounds, so segments grow with
+    # sqrt(x).  On 2 vCPUs, in process, spin_sum with 64, 128 and 256 sqrt(x)
+    # a segment took 0.064-0.074, 0.053-0.065 and 0.052-0.079 s at 1e7,
+    # 0.64-0.70, 0.63-0.73 and 0.61-0.64 s at 1e8, and 7.1-7.2, 6.8-7.4 and
+    # 7.1-7.9 s at 1e9, with a peak RSS of 35, 39-40 and 48-49 MB there: 128
+    # is best or near it at each x, and its mask of the n = 1 (mod 4) stays
+    # under 1 MB at 1e9.
     return max(1 << 16, 128 * math.isqrt(x))
 
 
-def _spin_block(lo: int, hi: int) -> tuple[int, int]:
-    # (sum of spins, count) over the primes p = 1 (mod 4) in [lo, hi)
-    r, s = prime_points(lo, hi)
-    return int(jacobi_vec(s, r).sum()), int(r.size)  # (s/1) = 1, as spin has it
+def _spin_block(lo: int, hi: int, stats: dict | None = None) -> tuple[int, int]:
+    # (sum of spins, count) over the primes p = 1 (mod 4) in [lo, hi); a
+    # stats dict, spin_walk's, gets prime_points' entries and symbols_s added
+    r, s = prime_points(lo, hi, stats)
+    t0 = time.perf_counter()
+    total = int(jacobi_vec(s, r).sum())  # (s/1) = 1, as spin has it
+    if stats is not None:
+        stats["symbols_s"] += time.perf_counter() - t0
+    return total, int(r.size)
 
 
-def spin_walk(xs: Iterable[int]) -> Iterator[dict]:
+def spin_walk(xs: Iterable[int], stats: dict | None = None) -> Iterator[dict]:
     """One report row {x, spin_sum, prime_count} per x of the ascending xs,
     over primes p = 1 (mod 4), p <= x, from one sweep of a segmented sieve;
-    each row is yielded as soon as the sweep reaches its x."""
+    each row is yielded as soon as the sweep reaches its x.  A stats dict,
+    when given, receives once the walk ends the seconds of each stage
+    (sieve_s, points_s, symbols_s) and the counts of segments, of
+    lattice_points walked and of prime_points kept."""
     xs = list(xs)
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("checkpoints must ascend")
     if xs and xs[-1] > 10**9:
         raise ValueError("x capped at 1e9")
+    walk = {"sieve_s": 0.0, "points_s": 0.0, "symbols_s": 0.0, "segments": 0, "lattice_points": 0}
     total = count = 0
     lo = 2
     seg = _spin_segment(xs[-1]) if xs else 0
     for x in xs:
         while lo <= x:
             hi = min(lo + seg, x + 1)
-            t, c = _spin_block(lo, hi)
+            t, c = _spin_block(lo, hi, walk)
             total += t
             count += c
+            walk["segments"] += 1
             lo = hi
         yield {"x": x, "spin_sum": total, "prime_count": count}
+    if stats is not None:
+        stats.update(walk, prime_points=count)
 
 
 def spin_sum(x: int) -> tuple[int, int]:

@@ -17,6 +17,7 @@ primary, which makes primary numbers canonical generators of odd ideals.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +208,7 @@ def _isqrt_vec(n: np.ndarray) -> np.ndarray:
 _POINT_CHUNK = 1 << 15
 
 
-def prime_points(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def prime_points(lo: int, hi: int, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The legs (r, s) of every prime p = r^2 + s^2 = 1 (mod 4) in [lo, hi),
     with r odd and s even, both positive, as int64 arrays in lattice order
     (by r, then s).  two_squares(p) is the oracle.
@@ -215,14 +216,22 @@ def prime_points(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     Such a prime has exactly one such point, and 2 has none, so the points
     of the annulus lo <= r^2 + s^2 < hi are expanded in int32 chunks of
     _POINT_CHUNK and kept where the window's sieve mask marks r^2 + s^2
-    prime.  hi above 2^31 - 1 raises ValueError, since int32 holds r^2 + s^2.
+    prime.  Every such r^2 + s^2 is 1 (mod 4), so the mask sieves only that
+    class: a quarter of the window, read at (r^2 + s^2 - n0) >> 2 for the
+    least n0 = 1 (mod 4) at or above lo.  hi above 2^31 - 1 raises
+    ValueError, since int32 holds r^2 + s^2.  A stats dict, when given, has
+    the seconds of the sieve (sieve_s) and of the walk (points_s) and the
+    number of lattice_points walked added to its entries.
     """
     if hi > (1 << 31) - 1:
         raise ValueError("prime_points requires hi <= 2^31 - 1")
     lo = max(lo, 2)
     if hi <= lo:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    mask = _prime_mask(lo, hi)
+    t0 = time.perf_counter()
+    mask = _prime_mask(lo, hi, 4)
+    n0 = lo + (1 - lo) % 4
+    t1 = time.perf_counter()
     # the even s of odd r run from s_lo (least s >= 2 with r^2 + s^2 >= lo)
     # to s_hi (greatest s with r^2 + s^2 < hi)
     r = np.arange(1, math.isqrt(hi - 1) + 1, 2, dtype=np.int64)
@@ -247,9 +256,16 @@ def prime_points(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         cr = np.repeat(r[rows], k)
         cs = np.repeat(s0[rows], k)
         cs += 2 * np.arange(i0, i1, dtype=np.int32)
-        keep = mask[cr * cr + cs * cs - lo]
+        n = cr * cr + cs * cs
+        n -= n0
+        n >>= 2
+        keep = mask[n]
         rs.append(cr[keep])
         ss.append(cs[keep])
+    if stats is not None:
+        for key, value in (("sieve_s", t1 - t0), ("points_s", time.perf_counter() - t1),
+                           ("lattice_points", total)):
+            stats[key] = stats.get(key, 0) + value
     return np.concatenate(rs).astype(np.int64), np.concatenate(ss).astype(np.int64)
 
 

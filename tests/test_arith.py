@@ -226,6 +226,31 @@ def test_prime_range_matches_primes_up_to():
     ]
 
 
+def _class_primes(lo, hi):
+    # the n = 1 (mod 4) that _prime_mask(lo, hi, 4) marks prime
+    mask = ar._prime_mask(lo, hi, 4)
+    n0 = lo + (1 - lo) % 4
+    assert mask.size == len(range(n0, hi, 4)), (lo, hi)
+    return (n0 + 4 * np.flatnonzero(mask)).tolist()
+
+
+def test_prime_mask_mod_4_equals_prime_range():
+    # windows whose ends lie in every class mod 4, windows from lo <= 5, at
+    # and next to the square of a base prime, and up to hi = 2^31 - 1
+    windows = [(lo, hi) for lo in range(1000, 1004) for hi in range(1997, 2001)]
+    windows += [(lo, hi) for lo in (2, 3, 4, 5) for hi in (3, 5, 6, 9, 10, 14, 100)]
+    for p in (3, 5, 7, 11, 97, 1009):
+        below = max(p * p - 40, 2)
+        windows += [(p * p, p * p + 500), (p * p + 1, 2 * p * p), (below, p * p), (below, p * p + 1)]
+    top = (1 << 31) - 1
+    windows += [(top - 10**5 + d, top) for d in range(4)] + [(10**9 - 10**4, 10**9)]
+    for lo, hi in windows:
+        want = [p for p in ar.prime_range(lo, hi).tolist() if p % 4 == 1]
+        assert _class_primes(lo, hi) == want, (lo, hi)
+    # the class of every n keeps the plain sieve
+    assert ar._prime_mask(90, 110).tolist() == [ar.is_prime(n) for n in range(90, 110)]
+
+
 def _split_primes(lo, hi):
     ps = ar.prime_range(lo, hi)
     return ps[ps % 4 == 1]
@@ -238,7 +263,10 @@ SPLIT_HIGH = (10**9 - 2 * 10**6, 10**9 + 1)
 
 def test_jacobi_vec_matches_jacobi():
     # every (a, m) with odd m <= 1500 and a in [-m, 2m]: zero, negative and
-    # non-coprime upper entries included
+    # non-coprime upper entries included.  The moduli run well past the
+    # table bound, so chains that end in the table at once, after one round
+    # and after several all appear
+    assert ar._JACOBI_TABLE_M + 64 < 1500
     a = np.concatenate([np.arange(-m, 2 * m + 1) for m in range(1, 1500, 2)])
     m = np.concatenate([np.full(3 * m + 1, m) for m in range(1, 1500, 2)])
     got = ar.jacobi_vec(a, m)
@@ -249,6 +277,73 @@ def test_jacobi_vec_matches_jacobi():
     for bad in (0, -3, 4):
         with pytest.raises(ValueError):
             ar.jacobi_vec([1, 2], [3, bad])
+
+
+def test_jacobi_vec_rejects_non_integers_and_int64_overflow():
+    # numpy would truncate 1.5 and refuse 2^63 + 1 with OverflowError
+    big = 2**63 + 1
+    for bad in ([1.5], [1, 2.0], [big], [2**70], np.array([big], dtype=np.uint64), [-1, 2**63]):
+        with pytest.raises(ValueError, match="integer entries within int64"):
+            ar.jacobi_vec(bad, [3] * len(bad))
+        with pytest.raises(ValueError, match="integer entries within int64"):
+            ar.jacobi_vec([1] * len(bad), bad)
+    with pytest.raises(ValueError, match="integer entries within int64"):
+        ar.sqrt_neg_one_vec([5.0])
+    # integer dtypes that fit, and empty input of any dtype, are accepted
+    assert ar.jacobi_vec(np.array([2, 3], dtype=np.uint64), np.int32(7)).tolist() == [1, -1]
+    assert ar.jacobi_vec([(1 << 63) - 1], [3]).tolist() == [ar.jacobi((1 << 63) - 1, 3)]
+    assert ar.jacobi_vec(np.empty(0), np.empty(0)).size == 0
+
+
+def test_jacobi_vec_chains_from_large_moduli():
+    # chains that start near 2^31, near INT64_MOD_MAX and above 2^62 and
+    # enter the table; consecutive Fibonacci numbers make the longest chains,
+    # and a common factor above or below the bound ends a chain on a = 0 or
+    # on a zero of the table
+    rng = random.Random(24)
+    T = ar._JACOBI_TABLE_M
+    pairs = []
+    for centre in (1 << 31, ar.INT64_MOD_MAX, 1 << 62, (1 << 63) - 1):
+        for _ in range(400):
+            m = min(centre + rng.randrange(-(1 << 20), 1 << 20), (1 << 63) - 1) | 1
+            pairs.append((rng.randrange(-m, m), m))
+    fib = [1, 2]
+    while fib[-1] < 1 << 62:
+        fib.append(fib[-1] + fib[-2])
+    pairs += [(f, g) for f, g in zip(fib, fib[1:]) if g % 2]
+    pairs += [(g, f) for f, g in zip(fib, fib[1:]) if f % 2]
+    for g in (T // 2 - 1, T - 1, T + 1, 3 * T + 1, 2**31 - 1):
+        pairs += [(g * rng.randrange(1, 1 << 20), g * (rng.randrange(1, 1 << 20) | 1)) for _ in range(50)]
+    a, m = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    got = ar.jacobi_vec(a, m).tolist()
+    assert got == [ar.jacobi(x, y) for x, y in pairs]
+    assert 0 < got.count(0) < len(got) and -1 in got
+
+
+def test_jacobi_table_is_built_by_the_private_loop(monkeypatch):
+    # a table built while jacobi_vec is patched neither calls the patch nor
+    # keeps its values, and nothing can write to it afterwards
+    kernel = ar.jacobi_vec
+    calls = []
+
+    def flipped(a, m):
+        calls.append(m)
+        return -kernel(a, m)
+
+    ar._jacobi_table.cache_clear()
+    monkeypatch.setattr(ar, "jacobi_vec", flipped)
+    a = np.arange(-600, 1200)
+    got = ar.jacobi_vec(a, 601)
+    assert len(calls) == 1  # the kernel did not recurse through the patch
+    assert got.tolist() == [-ar.jacobi(x, 601) for x in a.tolist()]
+    monkeypatch.undo()
+    table = ar._jacobi_table()
+    assert not table.flags.writeable
+    T = ar._JACOBI_TABLE_M
+    assert table.size == (T // 2) ** 2
+    want = [ar.jacobi(x, y) for y in range(1, T, 2) for x in range(y)]
+    assert table.tolist() == want
+    assert ar.jacobi_vec(a, 601).tolist() == [ar.jacobi(x, 601) for x in a.tolist()]
 
 
 def test_sqrt_neg_one_vec_roots():

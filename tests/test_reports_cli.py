@@ -204,6 +204,31 @@ def test_cli_theorem1_runtime_only_under_timing():
     assert extra["prime_powers"] == sum(pk and not p for p, pk in lam) > 0
 
 
+def test_cli_spin_runtime_only_under_timing():
+    from spinsieve import cli, eigen
+
+    (plain, _), (timed, checks) = (cli.cmd_spin(10**6, 3, t) for t in (False, True))
+    assert checks == {}
+    times = [row.pop("runtime_s") for row in timed.rows]
+    assert times == sorted(times) and times[0] >= 0  # elapsed time to reach each checkpoint
+    assert timed.rows == plain.rows
+    # --timing adds exactly the walk's stage seconds and counters to the summary
+    stages = ("sieve_s", "points_s", "symbols_s")
+    counters = ("segments", "lattice_points", "prime_points")
+    extra = {k: timed.summary.pop(k) for k in stages + counters}
+    assert timed.summary == plain.summary
+    assert all(isinstance(extra[k], float) and extra[k] >= 0 for k in stages)
+    # a segment stops at each checkpoint: one each to 1e4 and 1e5, then
+    # ceil(9e5 / 128000) = 8 of _spin_segment(1e6) integers
+    assert eigen._spin_segment(10**6) == 128000 and extra["segments"] == 10
+    assert extra["prime_points"] == plain.rows[-1]["prime_count"] == 39175
+    # the points r^2 + s^2 <= 1e6 with r odd, s even, both positive
+    legs = range(1, 1001)
+    assert extra["lattice_points"] == sum(
+        r % 2 == 1 and s % 2 == 0 and r * r + s * s <= 10**6 for r in legs for s in legs
+    )
+
+
 def test_cli_identities_runtime_only_under_timing():
     args = ("identities", "--suite", "all", "--bound", "30", "--format", "json")
     code, out, _ = run_cli(*args)
