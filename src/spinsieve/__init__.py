@@ -13,7 +13,17 @@ eigen        quadratic eigenvalues, spin sums, prime-weighted sums
 decomp       separation-divisor and Vaughan identities
 identities   identity suites shared by the CLI and the acceptance gate
 cli          `spinsieve` command: experiments with CSV/JSON reports
+
+numpy's bundled OpenBLAS starts a worker thread at import, which burned
+about 0.06 s of CPU in each process on 2 vCPUs.  No spinsieve code uses
+threaded BLAS, so the package asks for one BLAS thread before numpy is
+first imported.  A value of OPENBLAS_NUM_THREADS set in the environment
+wins.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arith import (
     Factorization,

@@ -38,6 +38,7 @@ __all__ = [
     "jacobi",
     "jacobi_vec",
     "jacobi_extended",
+    "bezout_vec",
     "hilbert_infinity",
     "chi4",
     "sqrt_mod",
@@ -404,6 +405,26 @@ def jacobi_extended(a: int, d: int) -> int:
     while d % 2 == 0:
         d //= 2
     return jacobi(a, d)
+
+
+def bezout_vec(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, mu, e) with lam a + mu b = e = gcd(a, b) >= 0 elementwise, by
+    the extended Euclid loop over whole arrays, each entry until its
+    remainder is 0.  Entries are int64, or Python ints in an object array;
+    with int64 entries below 2^62 in absolute value nothing overflows, as
+    every intermediate is bounded by max(|a|, |b|)."""
+    a, b = (np.array(x) for x in np.broadcast_arrays(a, b))
+    x0, y0 = np.ones_like(a), np.zeros_like(a)
+    x1, y1 = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(b)
+    while live.size:
+        k = a[live] // b[live]
+        a[live], b[live] = b[live], a[live] - k * b[live]
+        x0[live], x1[live] = x1[live], x0[live] - k * x1[live]
+        y0[live], y1[live] = y1[live], y0[live] - k * y1[live]
+        live = live[b[live] != 0]
+    sign = np.where(a < 0, -1, 1)
+    return x0 * sign, y0 * sign, a * sign
 
 
 def hilbert_infinity(a: int, b: int) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .arith import (
     Factorization,
+    bezout_vec,
     chi4,
     factorize,
     jacobi,
@@ -286,11 +287,13 @@ def G_sum(h1: int, h2: int, z1: GaussianInt, z2: GaussianInt) -> complex:
 @lru_cache(maxsize=4096)
 def _square_classes(q: int):
     # The squares mod q: their distinct classes us, the multiplicity uc of
-    # each, and sq[x] = #{g mod q : g^2 = x (mod q)} over all x < q (int32,
-    # as the dense table is the large one).  The arrays are shared through
-    # the cache, so they are read-only.
+    # each, and sq[x] = #{g mod q : g^2 = x (mod q)} over all x < q, in the
+    # least unsigned dtype that holds q, since no entry exceeds q and the
+    # dense table is the large one: uint16 below 2^16 halves the cache of a
+    # g0 sweep at bound 10^4 (about 1,200 moduli) from 33 to 21 MB.  The
+    # arrays are shared through the cache, so they are read-only.
     g = np.arange(q, dtype=np.int64)
-    sq = np.bincount(g * g % q, minlength=q).astype(np.int32)
+    sq = np.bincount(g * g % q, minlength=q).astype(np.min_scalar_type(q))
     us = np.flatnonzero(sq)
     uc = sq[us].astype(np.int64)
     for a in (us, uc, sq):
@@ -323,33 +326,30 @@ def _delta_abs(c: np.ndarray) -> np.ndarray:
     return np.abs(c[:, 0] * c[:, 3] - c[:, 2] * c[:, 1])
 
 
-@lru_cache(maxsize=1 << 16)
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    # (lam, mu, e) with lam a + mu b = e = gcd(a, b), by extended Euclid
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        k = a // b
-        a, b = b, a - k * b
-        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
-    return (x0, y0, a) if a >= 0 else (-x0, -y0, -a)
+# (row, square class) entries the coset count holds at once, as whole rows
+# (at least one); its int64 working arrays stay near 2 MB each.
+_COSET_BLOCK = 1 << 18
 
 
-def _g0_brute_counts(q: int, c: np.ndarray) -> np.ndarray:
+def _g0_coset_counts(q: int, c: np.ndarray) -> np.ndarray:
     # #{(g1, g2) mod q : g1^2 z2 = g2^2 z1 (mod q)} for each pair (z1, z2) of
     # the coordinate rows c (see _pair_coords), pairs that share |Delta| = q:
     # the sum over the square classes u = g1^2 of uc[u] sq[v] over the v with
     # v z1 = u z2 (mod q), tested on both coordinates.  Those v form one
     # coset of the kernel of v -> v z1 (mod q), which has gcd(Re z1, Im z1,
     # q) = e = gcd(Re z1, Im z1) elements, since e divides Delta.  With
-    # lam Re z1 + mu Im z1 = e (one Bezout pair per z1, cached), every such v
-    # has v e = u (lam Re z2 + mu Im z2) (mod q): e candidates v0 + k q/e,
-    # v0 < q/e, and one on the Lemma 8.4 domain, where z1 is primitive.  A
-    # wrong candidate could only lose matches.  Only the coordinate rows are
-    # shared with the closed form.
+    # lam Re z1 + mu Im z1 = e (a Bezout pair per row, from one array
+    # extended Euclid), every such v has v e = u (lam Re z2 + mu Im z2)
+    # (mod q): e candidates v0 + k q/e, v0 < q/e, and one on the Lemma 8.4
+    # domain, where z1 is primitive.  A wrong candidate could only lose
+    # matches.  Only the coordinate rows are shared with the closed form.
     us, uc, sq = _square_classes(q)
-    bez = np.array([_bezout(a, b) for a, b in c[:, :2].tolist()]).reshape(-1, 3)
-    lam, mu = (bez[:, :2] % q).astype(np.int64).T  # Python ints reduce before they narrow
-    e = bez[:, 2].astype(np.int64)
+    step = max(1, _COSET_BLOCK // us.size)
+    if len(c) > step:
+        return np.concatenate([_g0_coset_counts(q, c[lo : lo + step]) for lo in range(0, len(c), step)])
+    lam, mu, e = bezout_vec(c[:, 0], c[:, 1])
+    lam, mu = ((x % q).astype(np.int64) for x in (lam, mu))  # Python ints reduce before they narrow
+    e = e.astype(np.int64)
     r1, s1, r2, s2 = ((c % q).astype(np.int64)[:, [j]] for j in range(4))
     v0 = us * ((lam[:, None] * r2 + mu[:, None] * s2) % q) % q // e[:, None]
 
@@ -363,6 +363,24 @@ def _g0_brute_counts(q: int, c: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(e > k)
         count[rows] += matches(rows, v0[rows] + k * (q // e[rows, None]))
     return count
+
+
+def _g0_brute_counts(q: int, c: np.ndarray) -> np.ndarray:
+    # The count of _g0_coset_counts for each row of c, taken once per class of
+    # rows that are equal up to the swap (z1, z2) -> (z2, z1): swapping g1
+    # and g2 maps the solutions of g1^2 z2 = g2^2 z1 for one pair onto those
+    # for the other, so both counts are the same.  The pair set of the
+    # Lemma 8.4 domain is closed under the swap, so a group that holds both
+    # orientations of its pairs is counted half.  Rows are matched through
+    # ranks, int64 for any dtype of c: of the coordinates, then of the
+    # members z, then of the unordered pair {z1, z2}.
+    _, rank = np.unique(c, return_inverse=True)
+    rank = rank.reshape(-1, 2, 2)
+    _, z = np.unique(rank[:, :, 0] * (int(rank.max(initial=0)) + 1) + rank[:, :, 1], return_inverse=True)
+    z = z.reshape(-1, 2)
+    key = z.min(axis=1) * (int(z.max(initial=0)) + 1) + z.max(axis=1)
+    _, rep, at = np.unique(key, return_index=True, return_inverse=True)
+    return _g0_coset_counts(q, c[rep])[at]
 
 
 def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:

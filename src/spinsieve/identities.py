@@ -19,10 +19,8 @@ from ._util import Tally
 from .gaussian import (
     GaussianInt,
     conj,
-    delta,
     is_primary,
     is_primitive,
-    rational_residue,
     up_to_norm,
 )
 
@@ -162,27 +160,47 @@ def laws(bound: int, cases: int, rng: random.Random):
     return t.result()
 
 
-# Pairs the g0 suite holds at once; its memory is bounded by one chunk.
-_G0_CHUNK = 1 << 15
+# Candidates per side of a g0 tile.  About 1 in 35 ordered pairs of
+# candidates is admissible, so a tile on the diagonal holds about
+# 1280^2 / 35 = 47K pairs, under one _G0_CHUNK, and one off it twice that.
+# Smaller tiles split the |Delta| classes into more, smaller groups, each
+# with its own fixed cost.  Sides of 768, 1024 and 1280 gave traced peaks
+# of 6.3, 9.0 and 10.5 MB in a sweep to bound 3000 (10.1 MB before the
+# suite was tiled), and took 9.7, 7.2 and 6.6 s to bound 5000; a sweep to
+# bound 1000 (1,268 candidates) is one tile with 1280, and three with 1024,
+# which made the identity-sweep benchmark workload about 10% slower.
+_G0_TILE = 1280
+
+# Pairs of a tile the g0 suite checks at once.
+_G0_CHUNK = 1 << 16
 
 
 def g0(bound: int, cases: int, rng: random.Random):
     """G0 closed form = enumeration on every hypothesis pair with norms <= bound,
-    each chunk of pairs read into one coordinate array, grouped by |Delta| in
-    numpy and checked one |Delta| class at a time."""
-    t = Tally()
-    pairs = lattice.hypothesis_pairs(bound)
-    while chunk := list(itertools.islice(pairs, _G0_CHUNK)):
-        c = congruences._pair_coords(chunk)
-        qs, at = np.unique(congruences._delta_abs(c), return_inverse=True)
-        ok = np.zeros(len(chunk), dtype=bool)
-        order = np.argsort(at, kind="stable")  # the pairs of each |Delta| class, in turn
-        for q, idx in zip(qs.tolist(), np.split(order, np.cumsum(np.bincount(at))[:-1])):
-            group = c[idx]
-            closed = congruences._g0_closed_forms(q, group)  # q G0
-            ok[idx] = closed == congruences._g0_brute_counts(q, group)  # compared as integers
-        t.cases(ok, chunk.__getitem__)  # tallied in generator order
-    return t.result()
+    read as coordinate rows, grouped by |Delta| in numpy and checked one
+    |Delta| class at a time.  The pairs come a tile at a time, each pair
+    next to its swap (z2, z1), whose brute count is the same, so the count
+    is taken once for both; the first failures are those of the hypothesis
+    pair order."""
+    zs, c = lattice._admitted(up_to_norm(bound))
+    checked = violations = 0
+    firsts: list[int] = []  # the first failures as positions i * len(zs) + j
+    for i_tile, j_tile in lattice._swap_closed_tiles(c, _G0_TILE):
+        for lo in range(0, len(i_tile), _G0_CHUNK):
+            i, j = i_tile[lo : lo + _G0_CHUNK], j_tile[lo : lo + _G0_CHUNK]
+            rows = np.hstack((c[i], c[j]))
+            qs, at = np.unique(congruences._delta_abs(rows), return_inverse=True)
+            ok = np.zeros(len(rows), dtype=bool)
+            order = np.argsort(at, kind="stable")  # the pairs of each |Delta| class, in turn
+            for q, idx in zip(qs.tolist(), np.split(order, np.cumsum(np.bincount(at))[:-1])):
+                group = rows[idx]
+                closed = congruences._g0_closed_forms(q, group)  # q G0
+                ok[idx] = closed == congruences._g0_brute_counts(q, group)  # compared as integers
+            bad = np.flatnonzero(~ok)
+            checked += len(ok)
+            violations += bad.size
+            firsts = sorted(firsts + np.sort(i[bad] * len(zs) + j[bad])[:3].tolist())[:3]
+    return checked, violations, [(zs[k // len(zs)], zs[k % len(zs)]) for k in firsts]
 
 
 def counts(bound: int, cases: int, rng: random.Random):
@@ -200,16 +218,24 @@ def counts(bound: int, cases: int, rng: random.Random):
 
 def transform(bound: int, cases: int, rng: random.Random):
     """Symbol of the determinant = product of the coordinate symbols, on
-    hypothesis pairs with 0 < r1 r2 = 1 (mod 8)."""
+    hypothesis pairs with 0 < r1 r2 = 1 (mod 8), a block of coordinate rows
+    at a time.  The symbol of Delta is read at the rational residue
+    t = z2/z1 mod |Delta|, from one array extended Euclid for 1/|z1|^2."""
     t = Tally()
-    for z1, z2 in lattice.hypothesis_pairs(bound):
-        rr = z1.re * z2.re
-        if rr <= 0 or rr % 8 != 1:
-            continue
-        dd = abs(delta(z1, z2))
-        lhs = arith.jacobi_extended(rational_residue(z1, z2, dd), dd)
-        rhs = arith.jacobi(z1.im, abs(z1.re)) * arith.jacobi(z2.im, abs(z2.re))
-        t.case(lhs == rhs, z1, z2)
+    for c in lattice.hypothesis_rows(bound):
+        rr = c[:, 0] * c[:, 2]
+        c = c[(rr > 0) & (rr % 8 == 1)]
+        r1, s1, r2, s2 = c.T
+        dd = congruences._delta_abs(c)
+        inv, _, g = arith.bezout_vec(r1 * r1 + s1 * s1, dd)
+        res = (r1 * r2 + s1 * s2) * inv % dd
+        # in the domain |z1|^2 is prime to Delta, z2 = t z1 (mod |Delta|)
+        # componentwise, and t is odd, as z1 and z2 are
+        if ((g != 1) | ((r2 - res * r1) % dd != 0) | ((s2 - res * s1) % dd != 0) | (res % 2 == 0)).any():
+            raise ValueError("z2/z1 is not an odd rational residue modulo |Delta|")
+        lhs = arith.jacobi_vec(res, dd // (dd & -dd))  # the symbol of the odd part
+        rhs = arith.jacobi_vec(s1, np.abs(r1)) * arith.jacobi_vec(s2, np.abs(r2))
+        t.cases(lhs == rhs, lambda i: tuple(GaussianInt(*z) for z in c[i].reshape(2, 2).tolist()))
     return t.result()
 
 

@@ -25,7 +25,6 @@ on [M/4, 4M], scaled by 1/2048 so that |frak_f^(j)| <= M^-j for j <= 4
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
     "E_gamma",
     "e_gamma_fixed",
     "C0",
+    "hypothesis_rows",
     "hypothesis_pairs",
     "box_pairs",
 ]
@@ -202,35 +202,101 @@ def e_gamma_fixed(gamma: float, n: int) -> float:
     return float(4.0 * 0.5 * np.dot(w, vals))
 
 
-def _admissible_pairs(zs: list[GaussianInt], delta_cap: int | None, limit: int | None):
-    # The ordered pairs of candidates in the Lemma 8.4 domain, z1 in list
-    # order and z2 in list order within the class of z1 mod 8, at most limit
-    # of them.  delta_cap restricts |Delta|.  Candidates failing a
-    # one-argument hypothesis are dropped before any pair is formed; then
-    # each z1 meets its whole class in one array pass.  For odd primitive
+# Entries (z1, z2 candidate) that one block of the pair stream tests at
+# once, as whole z1 rows (at least one); its int64 working arrays stay near
+# 256 KB each.
+_PAIR_BLOCK = 1 << 15
+
+
+def _admissible_index_pairs(
+    c: np.ndarray, delta_cap: int | None, limit: int | None,
+    z1s: range | None = None, z2s: range | None = None,
+):
+    # The ordered pairs (z1, z2) in the Lemma 8.4 domain of the candidates c,
+    # int64 rows (Re z, Im z) that pass every one-argument hypothesis, as
+    # blocks of index arrays (i, j) into c: z1 in list order and z2 in list
+    # order within the class of z1 mod 8, at most limit pairs in all, with
+    # z1 and z2 taken from the index ranges z1s and z2s (all of c by
+    # default).  delta_cap restricts |Delta|.  Each block of z1 rows meets
+    # the class of each of its members in one array pass.  For odd primitive
     # z1, z2, (z1, z2) = 1 iff gcd(Re conj(z1) z2, Im conj(z1) z2) = 1: an
     # odd rational prime divides conj(z1) z2 only when a Gaussian prime
     # divides both, and Im conj(z1) z2 is Delta.
-    zs = [z for z in zs if _lemma_84_admits(z)]
-    by_class: dict[tuple[int, int], list[GaussianInt]] = {}
-    for z in zs:
-        by_class.setdefault((z.re % 8, z.im % 8), []).append(z)
-    coords = {
-        k: np.array([(z.re, z.im) for z in c], dtype=np.int64).T for k, c in by_class.items()
-    }
-
-    def pairs():
-        for z1 in zs:
-            key = (z1.re % 8, z1.im % 8)
-            re, im = coords[key]
-            det = z1.re * im - re * z1.im
-            ok = (np.gcd(z1.re * re + z1.im * im, det) == 1) & (det != 0)
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    cls = c[:, 0] % 8 * 8 + c[:, 1] % 8
+    by_class = np.argsort(cls, kind="stable")  # each class in list order
+    ends = np.searchsorted(cls[by_class], np.arange(65))  # class k at ends[k]:ends[k + 1]
+    step = max(1, _PAIR_BLOCK // max(int(np.diff(ends).max()), 1))
+    z1s = range(len(c)) if z1s is None else z1s
+    z2s = range(len(c)) if z2s is None else z2s
+    left = limit
+    for lo in range(z1s.start, z1s.stop if left != 0 else z1s.start, step):
+        hi = min(lo + step, z1s.stop)
+        i_parts, j_parts = [], []
+        for k in np.unique(cls[lo:hi]).tolist():
+            i = lo + np.flatnonzero(cls[lo:hi] == k)
+            j = by_class[ends[k] : ends[k + 1]]
+            j = j[np.searchsorted(j, z2s.start) : np.searchsorted(j, z2s.stop)]
+            (r1, s1), (r2, s2) = c[i].T[:, :, None], c[j].T
+            det = r1 * s2 - r2 * s1
+            ok = (np.gcd(r1 * r2 + s1 * s2, det) == 1) & (det != 0)
             if delta_cap is not None:
                 ok &= np.abs(det) <= delta_cap
-            z2s = map(by_class[key].__getitem__, np.flatnonzero(ok).tolist())
-            yield from zip(itertools.repeat(z1), z2s)
+            a, b = np.nonzero(ok)
+            i_parts.append(i[a])
+            j_parts.append(j[b])
+        i, j = np.concatenate(i_parts), np.concatenate(j_parts)
+        order = np.argsort(i, kind="stable")[:left]  # by z1; each z1 is in one class
+        if left is not None:
+            left -= len(order)
+        if len(order):
+            yield i[order], j[order]
+        if left == 0:
+            return
 
-    return itertools.islice(pairs(), limit)
+
+def _swap_closed_tiles(c: np.ndarray, side: int):
+    # The pairs of _admissible_index_pairs(c, None, None) as index arrays
+    # (i, j), a tile at a time: the pairs between the candidate blocks
+    # [a, a + side) and [b, b + side), b >= a, in both directions.  The
+    # domain is closed under the swap (z1, z2) -> (z2, z1), so a tile is
+    # read off its pairs with i < j, each followed by its swap.
+    blocks = [range(a, min(a + side, len(c))) for a in range(0, len(c), side)]
+    for x, bx in enumerate(blocks):
+        for by in blocks[x:]:
+            ij = [*_admissible_index_pairs(c, None, None, bx, by)]
+            if ij:
+                i, j = (np.concatenate(u) for u in zip(*ij))
+                i, j = i[i < j], j[i < j]
+                yield np.stack((i, j, j, i), axis=1).reshape(-1, 2).T
+
+
+def _admitted(zs: list[GaussianInt]) -> tuple[list[GaussianInt], np.ndarray]:
+    # the candidates that pass every one-argument hypothesis, and their rows
+    zs = [z for z in zs if _lemma_84_admits(z)]
+    return zs, np.array([(z.re, z.im) for z in zs], dtype=np.int64).reshape(-1, 2)
+
+
+def _admissible_pairs(zs: list[GaussianInt], delta_cap: int | None, limit: int | None):
+    # the pairs of _admissible_index_pairs as (z1, z2), members shared with zs
+    zs, c = _admitted(zs)
+    for i, j in _admissible_index_pairs(c, delta_cap, limit):
+        yield from zip(map(zs.__getitem__, i.tolist()), map(zs.__getitem__, j.tolist()))
+
+
+def hypothesis_rows(
+    max_norm: int,
+    delta_cap: int | None = None,
+    limit: int | None = None,
+    min_norm: int = 1,
+):
+    """The pairs of hypothesis_pairs, in the same order, as blocks of int64
+    coordinate rows (Re z1, Im z1, Re z2, Im z2).  A block holds the pairs
+    of whole z1 rows, found about 2^15 tested (z1, z2) entries at a time."""
+    _, c = _admitted(up_to_norm(max_norm, min_norm))
+    for i, j in _admissible_index_pairs(c, delta_cap, limit):
+        yield np.hstack((c[i], c[j]))
 
 
 def hypothesis_pairs(

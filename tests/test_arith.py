@@ -279,6 +279,22 @@ def test_jacobi_vec_matches_jacobi():
             ar.jacobi_vec([1, 2], [3, bad])
 
 
+def test_bezout_vec_gives_nonnegative_gcd_and_its_pair():
+    # every sign pattern and zero, int64 entries near 2^62, and Python ints
+    # past int64 in an object array
+    rng = random.Random(11)
+    small = [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    big = [(rng.randrange(-(2**62), 2**62), rng.randrange(-(2**62), 2**62)) for _ in range(500)]
+    huge = [(rng.randrange(-(10**40), 10**40), rng.randrange(-(2**70), 2**70)) for _ in range(200)]
+    for cases, dtype in ((small + big, np.int64), (huge + small[:50], object)):
+        a, b = (np.array(x, dtype=dtype) for x in zip(*cases))
+        lam, mu, e = ar.bezout_vec(a, b)
+        assert lam.dtype == mu.dtype == e.dtype == dtype
+        for (x, y), l, m, g in zip(cases, lam.tolist(), mu.tolist(), e.tolist()):
+            assert g == math.gcd(x, y) and l * x + m * y == g, (x, y)
+    assert [x.tolist() for x in ar.bezout_vec([], [])] == [[], [], []]
+
+
 def test_jacobi_vec_rejects_non_integers_and_int64_overflow():
     # numpy would truncate 1.5 and refuse 2^63 + 1 with OverflowError
     big = 2**63 + 1

@@ -1,6 +1,7 @@
 """The suites against their plain loops: multiplier and reciprocity a block
 of w rows at a time, g0 chunked and per-|Delta|, counts per modulus, laws on
-one table per norm, residues on one count of squares per d."""
+one table per norm, transform a block of coordinate rows at a time, residues
+on one count of squares per d."""
 
 import ast
 import math
@@ -13,7 +14,7 @@ import pytest
 from spinsieve import arith, congruences, identities, lattice, symbols
 from spinsieve._util import Tally
 from spinsieve.congruences import G0_brute, G0_formula
-from spinsieve.gaussian import GaussianInt as G, delta, up_to_norm
+from spinsieve.gaussian import GaussianInt as G, delta, rational_residue, up_to_norm
 from spinsieve.symbols import dirichlet_symbol, dirichlet_symbol_via_root
 
 
@@ -199,6 +200,62 @@ def test_g0_group_kernel_equals_double_loop():
     assert counts.tolist() == [_double_loop(q, z1, z2) for z1, z2 in group]
 
 
+def test_g0_kernel_counts_each_swapped_pair_once(monkeypatch):
+    # one |Delta| = 24 group: hypothesis pairs in both orientations, one
+    # left without its swap, a duplicate, rows with gcd(Re z1, Im z1) = 3,
+    # and a coordinate past int64, which makes every row a Python int
+    q = 24
+    pairs = [pr for pr in lattice.hypothesis_pairs(500) if abs(delta(*pr)) == q]
+    assert len(pairs) >= 6 and all((z2, z1) in pairs for z1, z2 in pairs)
+    pairs = pairs[1:] + pairs[1:2]  # pairs[0] is unpaired, pairs[1] repeats
+    pairs += [(G(3, 3), G(3, 11)), (G(3, 11), G(3, 3)), (G(9, 3), G(1, 3))]
+    pairs += [(G(1, 0), G(10**30 + 1, 24)), (G(10**30 + 1, 24), G(1, 0))]
+    assert all(abs(delta(*pr)) == q for pr in pairs)
+    c = congruences._pair_coords(pairs)
+    assert c.dtype == object
+    inner = congruences._g0_coset_counts
+    rows = []
+
+    def recorded(q, c):
+        rows.append(len(c))
+        return inner(q, c)
+
+    monkeypatch.setattr(congruences, "_g0_coset_counts", recorded)
+    one_by_one = [int(congruences._g0_brute_counts(q, c[[k]])[0]) for k in range(len(c))]
+    rows.clear()
+    assert congruences._g0_brute_counts(q, c).tolist() == one_by_one
+    assert rows == [len({frozenset(pr) for pr in pairs})]
+    assert one_by_one[-2:] == [_double_loop(q, *pairs[-1])] * 2
+    # the suite hands the kernel both orientations of every pair at bound
+    # 1000, in one tile or in many
+    for tile in (identities._G0_TILE, 300):
+        monkeypatch.setattr(identities, "_G0_TILE", tile)
+        rows.clear()
+        assert identities.run("g0", 1000) == (45_968, 0, [])
+        assert sum(rows) == 22_984, tile
+    # a pair comes next to its swap, so chunks of two rows keep both
+    monkeypatch.setattr(identities, "_G0_CHUNK", 2)
+    rows.clear()
+    assert identities.run("g0", 200)[:2] == (1856, 0)
+    assert sum(rows) == 928
+
+
+@pytest.mark.parametrize("tile", [3, 37])
+def test_g0_tiles_report_faults_in_generator_order(monkeypatch, tile):
+    # faults in pairs whose z1 lie in different tiles, listed out of order
+    monkeypatch.setattr(identities, "_G0_TILE", tile)
+    pairs = list(lattice.hypothesis_pairs(200))
+    faults = [1500, 3, 700, 1200]
+    bad = {(z1.re, z1.im, z2.re, z2.im) for z1, z2 in (pairs[i] for i in faults)}
+    kernel = congruences._g0_brute_counts
+
+    def off_by_one(q, c):
+        return kernel(q, c) + np.array([tuple(row) in bad for row in c.tolist()], dtype=np.int64)
+
+    monkeypatch.setattr(congruences, "_g0_brute_counts", off_by_one)
+    assert identities.run("g0", 200) == (len(pairs), 4, [pairs[i] for i in sorted(faults)[:3]])
+
+
 # (25, 27, 29, 31) spans three |Delta| classes, so only a tally in
 # generator order reports pairs 25, 27 and 29 first.
 @pytest.mark.parametrize("faults", [(1, 4, 8, 10), (25, 27, 29, 31)])
@@ -257,6 +314,42 @@ def test_counts_reports_injected_faults_in_order(monkeypatch):
     checked, violations, first = identities.run("counts", 15)
     assert (checked, violations) == (_plain_counts(15)[0], 4)
     assert first == [(2, 3), (1, 9), (4, 9)]
+
+
+def _plain_transform(bound):
+    # the transform suite one pair at a time, through the scalar symbols
+    t = Tally()
+    for z1, z2 in lattice.hypothesis_pairs(bound):
+        rr = z1.re * z2.re
+        if rr <= 0 or rr % 8 != 1:
+            continue
+        dd = abs(delta(z1, z2))
+        lhs = arith.jacobi_extended(rational_residue(z1, z2, dd), dd)
+        rhs = arith.jacobi(z1.im, abs(z1.re)) * arith.jacobi(z2.im, abs(z2.re))
+        t.case(lhs == rhs, z1, z2)
+    return t.result()
+
+
+def test_transform_suite_equals_plain_loop(monkeypatch):
+    expected = _plain_transform(300)
+    assert expected[0] > 900
+    assert identities.run("transform", 300) == expected
+    # (2/5) read as +1 in the array and scalar symbols alike: the pairs where
+    # one side reads it fail
+    m0, a0 = 5, 2
+    kernel, scalar = arith.jacobi_vec, arith.jacobi
+
+    def flipped(a, m):
+        out = kernel(a, m)
+        a, m = np.broadcast_arrays(a, m)
+        out[(m == m0) & (a % m0 == a0)] *= -1
+        return out
+
+    monkeypatch.setattr(arith, "jacobi_vec", flipped)
+    monkeypatch.setattr(arith, "jacobi", lambda a, m: scalar(a, m) * (-1 if (m, a % m) == (m0, a0) else 1))
+    expected = _plain_transform(300)
+    assert expected[1] > 3
+    assert identities.run("transform", 300) == expected
 
 
 def _grid():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinsieve.congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
+from spinsieve import lattice
 from spinsieve.gaussian import GaussianInt as G, delta, ggcd, up_to_norm
 from spinsieve.lattice import (
     C0,
@@ -19,6 +20,7 @@ from spinsieve.lattice import (
     box_pairs,
     e_gamma_fixed,
     hypothesis_pairs,
+    hypothesis_rows,
     weight_eval,
     weight_mass,
 )
@@ -233,6 +235,32 @@ def test_pair_stream_options_equal_plain_pairs():
     assert list(box_pairs(250, 1000, 0.35, 0.45, delta_cap=300)) == want
 
 
+def _coords(pairs):
+    return [(z1.re, z1.im, z2.re, z2.im) for z1, z2 in pairs]
+
+
+@pytest.mark.parametrize("block", [1, 50, lattice._PAIR_BLOCK])
+def test_hypothesis_rows_equal_pair_coordinates(monkeypatch, block):
+    # the row blocks, concatenated, are the pair streams' coordinates in
+    # order, whatever the block size; each block holds whole z1 rows
+    monkeypatch.setattr(lattice, "_PAIR_BLOCK", block)
+    settings = [(1, None, None, 1), (300, None, None, 1), (1000, None, None, 1),
+                (500, 200, None, 9), (500, None, 0, 9), (500, 200, 1, 9), (500, 0, None, 9),
+                (2500, 100, 25, 9), (800, 256, 40, 1)]
+    for max_norm, delta_cap, limit, min_norm in settings:
+        blocks = list(hypothesis_rows(max_norm, delta_cap, limit, min_norm))
+        assert all(b.dtype == np.int64 and b.shape[1] == 4 and len(b) for b in blocks)
+        rows = [tuple(r) for b in blocks for r in b.tolist()]
+        want = _coords(_plain_pairs(up_to_norm(max_norm, min_norm), delta_cap, limit))
+        assert rows == want == _coords(hypothesis_pairs(max_norm, delta_cap, limit, min_norm))
+        firsts = [b[0, :2].tolist() for b in blocks[1:]]
+        assert all(z != b[-1, :2].tolist() for z, b in zip(firsts, blocks)), "a z1 row split"
+        if block == 1:  # one z1 at a time
+            assert len(blocks) == len({r[:2] for r in rows})
+    box = [z for z in up_to_norm(1000, 250) if 0.35 <= math.atan2(z.im, z.re) < 0.35 + 0.45]
+    assert _coords(box_pairs(250, 1000, 0.35, 0.45, delta_cap=300)) == _coords(_plain_pairs(box, 300, None))
+
+
 def test_coprimality_as_rational_gcd():
     # for odd primitive z1, z2: (z1, z2) = 1 iff gcd(Re conj(z1) z2, Im conj(z1) z2) = 1
     zs = [z for z in up_to_norm(600) if _lemma_84_admits(z)]
@@ -248,6 +276,8 @@ def test_coprimality_as_rational_gcd():
 
 def test_hypothesis_pairs_limit():
     assert list(hypothesis_pairs(200, limit=0)) == []
+    with pytest.raises(ValueError):
+        next(hypothesis_rows(200, limit=-1))
     assert len(list(hypothesis_pairs(200, limit=1))) == 1
     assert list(hypothesis_pairs(200, limit=7)) == list(hypothesis_pairs(200))[:7]
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -416,6 +417,25 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "False (0, 0) False", proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+def test_import_runs_one_thread_and_keeps_a_preset_blas_setting():
+    # numpy's OpenBLAS would start a second thread at import; the package
+    # asks for one unless OPENBLAS_NUM_THREADS is already set
+    script = (
+        "import os, spinsieve\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def threads_and_setting(env):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert threads_and_setting(env) == ["1", "1"]
+    assert threads_and_setting({**env, "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
 
 
 def test_cli_reports_byte_identical_across_threads():
