@@ -2,10 +2,10 @@
 
 Factorization, the classical multiplicative functions, Jacobi symbols with
 the sign and even-modulus conventions used throughout this package, Hilbert
-symbols at infinity, and complete modular square roots.  Two array kernels,
-``jacobi_vec`` and ``sqrt_neg_one_vec``, run the Jacobi symbol and the root
-of -1 over whole int64 arrays; the scalar ``jacobi`` and ``sqrt_mod`` are
-their oracles.  ``jacobi_vec`` ends each reciprocity chain in one cached
+symbols at infinity, and complete modular square roots.  Two array kernels
+run over whole arrays: ``jacobi_vec``, the Jacobi symbol over int64 arrays,
+with the scalar ``jacobi`` its oracle, and ``bezout_vec``, the extended
+Euclid loop.  ``jacobi_vec`` ends each reciprocity chain in one cached
 table of (a/m) over the odd m below ``_JACOBI_TABLE_M``, built on first
 use.  One segmented sieve of Eratosthenes, ``_prime_mask``, serves
 ``prime_range`` (every n) and ``gaussian.prime_points`` (n = 1 mod 4 only).
@@ -42,7 +42,6 @@ __all__ = [
     "hilbert_infinity",
     "chi4",
     "sqrt_mod",
-    "sqrt_neg_one_vec",
     "divisor_witness",
 ]
 
@@ -55,10 +54,6 @@ _MR_TIERS = (
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
-
-# Largest modulus whose residues multiply exactly in int64: m * m < 2^63.
-INT64_MOD_MAX = math.isqrt((1 << 63) - 1)
-
 
 @functools.cache
 def _small_primes() -> np.ndarray:
@@ -548,55 +543,6 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> list[int]:
         for j in range(p**half):
             out.add(p**half * ((y0 + j * step) % mod_y) % pk)
     return sorted(out)
-
-
-def _pow_mod_vec(c: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # c^e mod m elementwise by square-and-multiply over the bits of e;
-    # every m <= INT64_MOD_MAX, so each product of residues is exact.
-    out = np.ones_like(m)
-    base = c % m
-    e = e.copy()
-    while e.any():
-        odd = (e & 1).astype(bool)
-        out = np.where(odd, out * base % m, out)
-        base = base * base % m
-        e >>= 1
-    return out
-
-
-def sqrt_neg_one_vec(p) -> np.ndarray:
-    """For each prime p = 1 (mod 4), 5 <= p <= INT64_MOD_MAX, of an int64
-    array, the least nu > 0 with nu^2 = -1 (mod p): sqrt_mod(-1, p)[0].
-
-    nu = c^((p-1)/4) for the least prime non-residue c of p, by Euler's
-    criterion.  c is read off p without a power: (2/p) = -1 iff p = 5
-    (mod 8), and (c/p) = (p/c) for odd c by reciprocity, since p = 1
-    (mod 4).  So one modular power per entry suffices.  Entries are trusted
-    to be prime, as a sieve delivers them; an entry that shows otherwise
-    (no c with c(c-1) < p, or nu^2 other than -1) raises ValueError, and
-    so does any p above INT64_MOD_MAX, whose products would overflow int64.
-    """
-    p = _int64_array(p, "sqrt_neg_one_vec").ravel()
-    if p.size and int(p.max()) > INT64_MOD_MAX:
-        raise ValueError(f"sqrt_neg_one_vec requires p <= {INT64_MOD_MAX}")
-    if np.any((p % 4 != 1) | (p < 5)):
-        raise ValueError("sqrt_neg_one_vec requires primes p = 1 (mod 4)")
-    c = np.where(p & 7 == 5, 2, 0)
-    live = np.flatnonzero(c == 0)
-    # the least non-residue n of a prime p has n(n - 1) < p, so n <= isqrt(p) + 1
-    n_max = math.isqrt(int(p.max())) + 1 if p.size else 0
-    for q in primes_up_to(n_max)[1:].tolist():
-        if not live.size:
-            break
-        square = np.zeros(q, dtype=bool)
-        square[np.arange(q) ** 2 % q] = True
-        nonres = ~square[p[live] % q]
-        c[live[nonres]] = q
-        live = live[~nonres]
-    nu = _pow_mod_vec(c, (p - 1) >> 2, p)
-    if live.size or np.any(nu * nu % p != p - 1):
-        raise ValueError("sqrt_neg_one_vec requires prime moduli")
-    return np.minimum(nu, p - nu)
 
 
 def divisor_witness(n: int, k: int) -> int:

@@ -211,7 +211,9 @@ _POINT_CHUNK = 1 << 15
 def prime_points(lo: int, hi: int, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The legs (r, s) of every prime p = r^2 + s^2 = 1 (mod 4) in [lo, hi),
     with r odd and s even, both positive, as int64 arrays in lattice order
-    (by r, then s).  two_squares(p) is the oracle.
+    (by r, then s).  two_squares(p) is the oracle.  Both sweeps read their
+    Gaussian primes here: the spin sweep of eigen segment by segment, and
+    the root sieve of sieve._RootSieve, which takes sqrt(-1) mod p as r/s.
 
     Such a prime has exactly one such point, and 2 has none, so the points
     of the annulus lo <= r^2 + s^2 < hi are expanded in int32 chunks of

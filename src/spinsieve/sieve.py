@@ -11,8 +11,9 @@ constant 4/pi, and the desk-scale prime-values experiment
 The experiment finds the prime values with a root sieve on each b-line: a
 prime p <= sqrt(x) divides a^2 + b^4 only on the classes a = +-nu b^2
 (mod p) with nu^2 = -1 (mod p), or a = 0 when p | b, or a = b (mod 2).
-p = 2 is a wheel, so each line is sieved on its odd values alone, in one
-buffer that every line reuses.
+A split p is r^2 + s^2 at its Gaussian prime point (gaussian.prime_points),
+and nu = r/s (mod p) there.  p = 2 is a wheel, so each line is sieved on
+its odd values alone, in one buffer that every line reuses.
 
 Counts are exact integers; densities are exact rationals; only the final
 Lambda-weighted sums are floating point (deterministic block order).
@@ -32,9 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _smallest_prime_factors, chi4, factorize, primes_up_to, sqrt_neg_one_vec
+from .arith import _smallest_prime_factors, bezout_vec, chi4, factorize, primes_up_to
 from .congruences import rho_b, _roots_neg_square, _rho_prime_power
-from .gaussian import gaussian_reps
+from .gaussian import gaussian_reps, prime_points
 
 __all__ = [
     "GAxiomsReport",
@@ -386,15 +387,16 @@ class _RootSieve:
       p = 2:           a = b (mod 2);
       p = 1 (mod 4):   a = +-nu_p b^2 (mod p), where nu_p^2 = -1 (mod p);
       p = 3 (mod 4):   p | b and p | a.
-    These are the rho(p) = 1 + chi4(p) roots the paper sieves with.  p = 2
-    is a wheel: a line is sieved only on its odd values, a = a0 + 2j with
-    a0 = 1 + (b mod 2), where the class a = r (mod p) of an odd p is
-    j = (r - a0)(p + 1)/2 (mod p).  The one even prime, 2 = 1^2 + 1^4, is
-    added back on the line b = 1.  A value above sqrt(x) is prime iff no
-    prime p <= sqrt(x) divides it; values up to sqrt(x) are read from a
-    prime table.  One bool buffer, sized for the longest half-line plus a
-    slack of sqrt(x), is allocated here and reused by every line, so memory
-    is O(sqrt(x)).
+    These are the rho(p) = 1 + chi4(p) roots the paper sieves with.  The
+    split p = r^2 + s^2 come from gaussian.prime_points, and nu_p is the
+    lesser of +-r/s (mod p).  p = 2 is a wheel: a line is sieved only on its
+    odd values, a = a0 + 2j with a0 = 1 + (b mod 2), where the class
+    a = k (mod p) of an odd p is j = (k - a0)(p + 1)/2 (mod p).  The one
+    even prime, 2 = 1^2 + 1^4, is added back on the line b = 1.  A value
+    above sqrt(x) is prime iff no prime p <= sqrt(x) divides it; values up
+    to sqrt(x) are read from a prime table.  One bool buffer, sized for the
+    longest half-line plus a slack of sqrt(x), is allocated here and reused
+    by every line, so memory is O(sqrt(x)).
     """
 
     def __init__(self, x: int, primes: np.ndarray):
@@ -402,8 +404,13 @@ class _RootSieve:
         self.root = math.isqrt(x)
         self.table = np.zeros(self.root + 1, dtype=bool)
         self.table[primes] = True
-        self.split = primes[primes % 4 == 1]
-        self.nu = sqrt_neg_one_vec(self.split)
+        # r^2 = -s^2 (mod p) makes (r/s)^2 = -1
+        r, s = prime_points(5, self.root + 1)
+        p = r * r + s * s
+        order = np.argsort(p)
+        self.split, r, s = p[order], r[order], s[order]
+        nu = r * bezout_vec(s, self.split)[0] % self.split  # |r s^-1| < p^2 <= x
+        self.nu = np.minimum(nu, self.split - nu)
         self.half = (self.split + 1) // 2  # 1/2 mod p
         self.nu_half = self.nu * self.half % self.split
         self.ps = np.repeat(self.split, 2)  # the classes +-nu b^2 of each split p

@@ -251,16 +251,6 @@ def test_prime_mask_mod_4_equals_prime_range():
     assert ar._prime_mask(90, 110).tolist() == [ar.is_prime(n) for n in range(90, 110)]
 
 
-def _split_primes(lo, hi):
-    ps = ar.prime_range(lo, hi)
-    return ps[ps % 4 == 1]
-
-
-# every p = 1 (mod 4) up to 1e6, and every such p in [1e9 - 2e6, 1e9]
-SPLIT_LOW = (1, 10**6 + 1)
-SPLIT_HIGH = (10**9 - 2 * 10**6, 10**9 + 1)
-
-
 def test_jacobi_vec_matches_jacobi():
     # every (a, m) with odd m <= 1500 and a in [-m, 2m]: zero, negative and
     # non-coprime upper entries included.  The moduli run well past the
@@ -303,8 +293,6 @@ def test_jacobi_vec_rejects_non_integers_and_int64_overflow():
             ar.jacobi_vec(bad, [3] * len(bad))
         with pytest.raises(ValueError, match="integer entries within int64"):
             ar.jacobi_vec([1] * len(bad), bad)
-    with pytest.raises(ValueError, match="integer entries within int64"):
-        ar.sqrt_neg_one_vec([5.0])
     # integer dtypes that fit, and empty input of any dtype, are accepted
     assert ar.jacobi_vec(np.array([2, 3], dtype=np.uint64), np.int32(7)).tolist() == [1, -1]
     assert ar.jacobi_vec([(1 << 63) - 1], [3]).tolist() == [ar.jacobi((1 << 63) - 1, 3)]
@@ -312,14 +300,14 @@ def test_jacobi_vec_rejects_non_integers_and_int64_overflow():
 
 
 def test_jacobi_vec_chains_from_large_moduli():
-    # chains that start near 2^31, near INT64_MOD_MAX and above 2^62 and
+    # chains that start near 2^31, near sqrt(2^63) and above 2^62 and
     # enter the table; consecutive Fibonacci numbers make the longest chains,
     # and a common factor above or below the bound ends a chain on a = 0 or
     # on a zero of the table
     rng = random.Random(24)
     T = ar._JACOBI_TABLE_M
     pairs = []
-    for centre in (1 << 31, ar.INT64_MOD_MAX, 1 << 62, (1 << 63) - 1):
+    for centre in (1 << 31, math.isqrt((1 << 63) - 1), 1 << 62, (1 << 63) - 1):
         for _ in range(400):
             m = min(centre + rng.randrange(-(1 << 20), 1 << 20), (1 << 63) - 1) | 1
             pairs.append((rng.randrange(-m, m), m))
@@ -360,36 +348,6 @@ def test_jacobi_table_is_built_by_the_private_loop(monkeypatch):
     want = [ar.jacobi(x, y) for y in range(1, T, 2) for x in range(y)]
     assert table.tolist() == want
     assert ar.jacobi_vec(a, 601).tolist() == [ar.jacobi(x, 601) for x in a.tolist()]
-
-
-def test_sqrt_neg_one_vec_roots():
-    for (lo, hi), count in ((SPLIT_LOW, 39_175), (SPLIT_HIGH, 48_147)):
-        ps = _split_primes(lo, hi)
-        nu = ar.sqrt_neg_one_vec(ps)
-        assert ps.size == count
-        assert np.all(nu * nu % ps == ps - 1)
-        assert np.all((0 < nu) & (2 * nu < ps))  # the lesser of the two roots
-    ps = _split_primes(1, 10**5)
-    assert ar.sqrt_neg_one_vec(ps).tolist() == [ar.sqrt_mod(-1, p)[0] for p in ps.tolist()]
-    assert ar.sqrt_neg_one_vec(np.empty(0, dtype=np.int64)).size == 0
-
-
-def test_sqrt_neg_one_vec_guards():
-    # p^2 must fit in int64: the first p = 1 (mod 4) past the bound raises,
-    # and so does the largest prime p = 1 (mod 4) below 2^63
-    big = ar.INT64_MOD_MAX + 1
-    while big % 4 != 1 or not ar.is_prime(big):
-        big += 1
-    top = (1 << 63) - 1
-    while top % 4 != 1 or not ar.is_prime(top):
-        top -= 1
-    for p in (big, top, 1 << 64):
-        with pytest.raises(ValueError):
-            ar.sqrt_neg_one_vec([5, p])
-    assert ar.INT64_MOD_MAX**2 < 1 << 63 <= (ar.INT64_MOD_MAX + 1) ** 2
-    for p in (1, 3, 7, 21, 25, 65):  # not a prime p = 1 (mod 4)
-        with pytest.raises(ValueError):
-            ar.sqrt_neg_one_vec([13, p])
 
 
 def test_divisor_witness():

@@ -189,10 +189,14 @@ def _root_sieve(x):
 
 
 def test_root_sieve_roots_equal_scalar_sqrt_mod():
-    # the sieve reads nu_p from the array kernel; it must be the root the
-    # scalar sqrt_mod gives, so the marked classes are unchanged
-    for x in (1, 25, 10**6, 10**10):
-        rs = sv._RootSieve(x, ar.primes_up_to(math.isqrt(x)))
+    # the sieve reads nu_p = r/s off the Gaussian prime points; it must be
+    # the root the scalar sqrt_mod gives, so the marked classes are
+    # unchanged, and the split primes must be exactly the p = 1 (mod 4) up
+    # to sqrt(x), the window end included (29 = 5^2 + 2^2)
+    for x in (1, 24, 25, 28**2, 29**2 - 1, 29**2, 10**6, 10**10, 10**11):
+        primes = ar.primes_up_to(math.isqrt(x))
+        rs = sv._RootSieve(x, primes)
+        assert rs.split.tolist() == primes[primes % 4 == 1].tolist(), x
         assert rs.nu.tolist() == [ar.sqrt_mod(-1, p)[0] for p in rs.split.tolist()]
 
 
