@@ -30,7 +30,7 @@ from .arith import (
     chi4,
     factorize,
     jacobi,
-    jacobi_extended,
+    jacobi_vec,
     sqrt_mod,
 )
 from .gaussian import (
@@ -218,16 +218,13 @@ def N_formula(a: int, q: int) -> int:
 
 def _n_closed_forms(q: int, avals) -> list[int]:
     # N_formula for each a of avals; the caller has checked the domain.  q is
-    # factorized and its divisor table built once, and each divisor d takes
-    # one Jacobi symbol per distinct residue of the a's mod d.
-    a = np.asarray(avals, dtype=np.int64)
-    total = np.zeros(len(a), dtype=np.int64)
-    for d, ph in _divisors_phi(factorize(q)):
-        res, at = np.unique(a % d, return_inverse=True)
-        chi = np.array([jacobi(r, d) for r in res.tolist()], dtype=np.int64)
-        # q phi(d)/d = (q/d) phi(d) is an integer for every d | q
-        total += (q // d) * ph * chi[at]
-    return total.tolist()
+    # factorized and its divisor table built once, and every symbol (a/d),
+    # each a against each divisor d, comes from one jacobi_vec call.
+    divs = _divisors_phi(factorize(q))
+    d = np.array([d for d, _ in divs], dtype=np.int64)
+    # q phi(d)/d = (q/d) phi(d) is an integer for every d | q
+    weight = np.array([(q // d) * ph for d, ph in divs], dtype=np.int64)
+    return (jacobi_vec(np.asarray(avals, dtype=np.int64)[:, None], d) @ weight).tolist()
 
 
 def N_local(a: int, p: int, nu: int) -> Fraction:
@@ -335,14 +332,20 @@ def _g0_coset_counts(q: int, c: np.ndarray) -> np.ndarray:
     # #{(g1, g2) mod q : g1^2 z2 = g2^2 z1 (mod q)} for each pair (z1, z2) of
     # the coordinate rows c (see _pair_coords), pairs that share |Delta| = q:
     # the sum over the square classes u = g1^2 of uc[u] sq[v] over the v with
-    # v z1 = u z2 (mod q), tested on both coordinates.  Those v form one
-    # coset of the kernel of v -> v z1 (mod q), which has gcd(Re z1, Im z1,
-    # q) = e = gcd(Re z1, Im z1) elements, since e divides Delta.  With
-    # lam Re z1 + mu Im z1 = e (a Bezout pair per row, from one array
-    # extended Euclid), every such v has v e = u (lam Re z2 + mu Im z2)
-    # (mod q): e candidates v0 + k q/e, v0 < q/e, and one on the Lemma 8.4
-    # domain, where z1 is primitive.  A wrong candidate could only lose
-    # matches.  Only the coordinate rows are shared with the closed form.
+    # v z1 = u z2 (mod q).  Those v form one coset of the kernel of
+    # v -> v z1 (mod q), which has gcd(Re z1, Im z1, q) = e = gcd(Re z1,
+    # Im z1) elements, since e divides Delta.  With lam Re z1 + mu Im z1 = e
+    # (a Bezout pair per row, from one array extended Euclid) and
+    # w = lam Re z2 + mu Im z2, every such v has v e = u w (mod q).
+    # - e = 1, as on the Lemma 8.4 domain, where z1 is primitive: v = u w is
+    #   the one candidate, and v z1 - u z2 = u (w z1 - z2), so it hits
+    #   exactly when q / g divides u, for g = gcd(w Re z1 - Re z2,
+    #   w Im z1 - Im z2, q): one gcd per row tests the candidate of every u,
+    #   for any modulus q.  At q = |Delta|, w z1 - z2 = (mu Delta, -lam Delta),
+    #   so g = q and every u passes.
+    # - e > 1: the e candidates v0 + k q/e, v0 = (u w mod q) // e < q/e, each
+    #   tested on both coordinates; a wrong candidate could only lose matches.
+    # Only the coordinate rows are shared with the closed form.
     us, uc, sq = _square_classes(q)
     step = max(1, _COSET_BLOCK // us.size)
     if len(c) > step:
@@ -350,18 +353,24 @@ def _g0_coset_counts(q: int, c: np.ndarray) -> np.ndarray:
     lam, mu, e = bezout_vec(c[:, 0], c[:, 1])
     lam, mu = ((x % q).astype(np.int64) for x in (lam, mu))  # Python ints reduce before they narrow
     e = e.astype(np.int64)
-    r1, s1, r2, s2 = ((c % q).astype(np.int64)[:, [j]] for j in range(4))
-    v0 = us * ((lam[:, None] * r2 + mu[:, None] * s2) % q) % q // e[:, None]
-
-    def matches(rows, v):
-        # sq[v]-weighted sum over u of [v z1 = u z2 (mod q)] for the rows
+    r1, s1, r2, s2 = (c % q).astype(np.int64).T
+    w = (lam * r2 + mu * s2) % q
+    count = np.zeros(len(c), dtype=np.int64)
+    one = np.flatnonzero(e == 1)
+    g = np.gcd(np.gcd(w[one] * r1[one] - r2[one], w[one] * s1[one] - s2[one]), q)
+    weight = sq[us * w[one, None] % q]
+    part = np.flatnonzero(g < q)
+    weight[part] *= us % (q // g[part, None]) == 0
+    count[one] = weight @ uc
+    many = np.flatnonzero(e > 1)
+    em = e[many, None]
+    v0 = us * w[many, None] % q // em
+    for k in range(int(em.max(initial=1))):  # the rows of e > k try v0 + k q/e
+        at = np.flatnonzero(em[:, 0] > k)
+        rows = many[at, None]
+        v = v0[at] + k * (q // em[at])
         hit = (v * r1[rows] % q == us * r2[rows] % q) & (v * s1[rows] % q == us * s2[rows] % q)
-        return (sq[v] * hit) @ uc
-
-    count = matches(slice(None), v0)
-    for k in range(1, int(e.max(initial=1))):  # the rest of each coset, off the domain
-        rows = np.flatnonzero(e > k)
-        count[rows] += matches(rows, v0[rows] + k * (q // e[rows, None]))
+        count[many[at]] += (sq[v] * hit) @ uc
     return count
 
 
@@ -370,10 +379,13 @@ def _g0_brute_counts(q: int, c: np.ndarray) -> np.ndarray:
     # rows that are equal up to the swap (z1, z2) -> (z2, z1): swapping g1
     # and g2 maps the solutions of g1^2 z2 = g2^2 z1 for one pair onto those
     # for the other, so both counts are the same.  The pair set of the
-    # Lemma 8.4 domain is closed under the swap, so a group that holds both
-    # orientations of its pairs is counted half.  Rows are matched through
-    # ranks, int64 for any dtype of c: of the coordinates, then of the
-    # members z, then of the unordered pair {z1, z2}.
+    # Lemma 8.4 domain is closed under the swap, and the g0 suite hands over
+    # each pair followed by its swap, so such rows are counted on the even
+    # rows alone.  Other rows are matched through ranks, int64 for any dtype
+    # of c: of the coordinates, then of the members z, then of the unordered
+    # pair {z1, z2}.
+    if len(c) % 2 == 0 and (c[1::2] == c[::2][:, [2, 3, 0, 1]]).all():
+        return np.repeat(_g0_coset_counts(q, c[::2]), 2)
     _, rank = np.unique(c, return_inverse=True)
     rank = rank.reshape(-1, 2, 2)
     _, z = np.unique(rank[:, :, 0] * (int(rank.max(initial=0)) + 1) + rank[:, :, 1], return_inverse=True)
@@ -389,8 +401,10 @@ def G0_brute(z1: GaussianInt, z2: GaussianInt) -> Fraction:
     The count runs over the square classes u = g1^2 mod |D|.  The v = g2^2
     with v z1 = u z2 (mod |D|) form one coset of the kernel of v -> v z1,
     which has gcd(Re z1, Im z1) elements (a divisor of D), so a Bezout pair
-    of Re z1 and Im z1 names every candidate v, and each candidate is tested
-    on both coordinates directly.  The count reads no Jacobi symbol, divisor
+    lam Re z1 + mu Im z1 = gcd(Re z1, Im z1) names every candidate v.  For
+    primitive z1 the one candidate v = u (lam Re z2 + mu Im z2) of every u
+    is tested by one gcd per pair; otherwise each candidate is tested on
+    both coordinates directly.  The count reads no Jacobi symbol, divisor
     sum or rational residue: it is the independent oracle for the closed
     form, sharing none of its machinery, and a wrong candidate could only
     lose matches, which the closed form would then contradict.
@@ -413,7 +427,8 @@ _LEMMA_84_EACH = (
 
 
 def _lemma_84_admits(z: GaussianInt) -> bool:
-    # z passes every one-argument hypothesis of the Lemma 8.4 domain.
+    # z passes every one-argument hypothesis of the Lemma 8.4 domain: the
+    # scalar form of lattice._admitted, and its oracle in the tests.
     return all(holds(z) for holds, _ in _LEMMA_84_EACH)
 
 
@@ -435,18 +450,28 @@ def _lemma_84_failure(z1: GaussianInt, z2: GaussianInt) -> str | None:
     return None
 
 
-def _g0_divisor_sum(q: int, T: int, divs: list[tuple[int, int]]) -> int:
-    # q G0 = 8 sum_{d | q/4} (q/4d) phi(d) (T / d), over the divisor table of
-    # q/4: T is read only through these symbols
+# q below this keeps the weights of _g0_divisor_table and the closed forms
+# in int64: 8 sum_{d | q/4} (q/4d) phi(d) <= 2 q tau(q/4) < 2^61.
+_G0_INT64_Q = 1 << 40
+
+
+@lru_cache(maxsize=4096)
+def _g0_divisor_table(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # q G0 = 8 sum_{d | q/4} (q/4d) phi(d) (T / d), from one factorization of
+    # q/4, and (T / d) is (T / o) for the odd part o of d: the odd divisors o
+    # of q/4 and the weight 8 sum (q/4d) phi(d) over the d with odd part o,
+    # int64 for q below _G0_INT64_Q and Python ints otherwise.  Shared
+    # through the cache, so read-only.
     base = q // 4
-    num = 0  # running sum of (base/d) phi(d) (T / d)
-    for d, ph in divs:
-        dodd = d // (d & -d)
-        t = T % dodd if dodd > 1 else 1
-        if t % 2 == 0:
-            t += dodd  # odd representative of the same class mod dodd
-        num += (base // d) * ph * jacobi_extended(t, d)
-    return 8 * num
+    weights: dict[int, int] = {}
+    for d, ph in _divisors_phi(factorize(base)):
+        o = d // (d & -d)
+        weights[o] = weights.get(o, 0) + 8 * (base // d) * ph
+    dtype = np.int64 if q < _G0_INT64_Q else object
+    odd, weight = np.array(list(weights), dtype=dtype), np.array(list(weights.values()), dtype=dtype)
+    for x in (odd, weight):
+        x.flags.writeable = False
+    return odd, weight
 
 
 def _g0_closed_forms(q: int, c: np.ndarray) -> np.ndarray:
@@ -457,8 +482,8 @@ def _g0_closed_forms(q: int, c: np.ndarray) -> np.ndarray:
     # T = z2/z1 mod the odd part m of q/4 (in the domain z2 = z1 (mod 8), so
     # 8 divides Delta).  Re(conj z1 z2) = T |z1|^2 (mod m), and |z1|^2 is
     # prime to m in the domain, so T |z1|^4 has T's symbols and needs no
-    # inverse: q/4 is factorized once, and the sum is taken once per
-    # distinct such key.
+    # inverse: every distinct such key meets every odd divisor of q/4 in one
+    # jacobi_vec call (a scalar jacobi each past int64 reach).
     if (bad := _delta_abs(c) != q).any():
         raise ValueError(f"|Delta| = {_delta_abs(c)[bad][0]} in the group of |Delta| = {q}")
     m = q // (q & -q)
@@ -467,8 +492,12 @@ def _g0_closed_forms(q: int, c: np.ndarray) -> np.ndarray:
     if m >= _COORD_CAP:
         dot = dot.astype(object)  # keeps dot * n1 exact
     keys, at = np.unique(dot * n1 % m, return_inverse=True)
-    divs = _divisors_phi(factorize(q // 4))
-    return np.array([_g0_divisor_sum(q, int(k), divs) for k in keys.tolist()])[at]
+    odd, weight = _g0_divisor_table(q)
+    if q < _G0_INT64_Q:
+        sym = jacobi_vec(keys.astype(np.int64)[:, None], odd)
+    else:
+        sym = np.array([[jacobi(k, o) for o in odd.tolist()] for k in keys.tolist()], dtype=object)
+    return (sym @ weight)[at]
 
 
 def G0_formula(z1: GaussianInt, z2: GaussianInt) -> Fraction:

@@ -31,6 +31,7 @@ __all__ = [
     "I",
     "conj",
     "up_to_norm",
+    "up_to_norm_rows",
     "is_primary",
     "primary_associate",
     "is_primitive",
@@ -90,19 +91,29 @@ def conj(z: GaussianInt) -> GaussianInt:
     return z.conj()
 
 
+def up_to_norm_rows(max_norm: int, min_norm: int = 1) -> np.ndarray:
+    """The z of up_to_norm, in the same order, as int64 rows (Re z, Im z).
+    Every enumeration of Gaussian integers by norm is a filter over these
+    rows: the disk is laid out by re, then im, and a stable sort by norm
+    leaves each norm in that order."""
+    if max_norm < 1:
+        return np.empty((0, 2), dtype=np.int64)
+    m = math.isqrt(max_norm)
+    r = np.arange(-m, m + 1, dtype=np.int64)
+    h = _isqrt_vec(max_norm - r * r)  # the row of r holds |s| <= h
+    width = 2 * h + 1
+    rs = np.repeat(r, width)
+    ss = np.arange(rs.size, dtype=np.int64) - np.repeat(np.cumsum(width) - width + h, width)
+    n = rs * rs + ss * ss
+    keep = np.flatnonzero(n >= max(min_norm, 1))
+    order = keep[np.argsort(n[keep], kind="stable")]
+    return np.stack((rs[order], ss[order]), axis=1)
+
+
 def up_to_norm(max_norm: int, min_norm: int = 1) -> list[GaussianInt]:
     """All nonzero z with min_norm <= |z|^2 <= max_norm, ordered by
-    (norm, re, im).  Every enumeration of Gaussian integers by norm is a
-    filter over this list."""
-    m = math.isqrt(max(max_norm, 0))
-    lo = max(min_norm, 1)
-    out = [
-        GaussianInt(r, s)
-        for r in range(-m, m + 1)
-        for s in range(-m, m + 1)
-        if lo <= r * r + s * s <= max_norm
-    ]
-    return sorted(out, key=lambda z: (z.norm(), z.re, z.im))
+    (norm, re, im), read from up_to_norm_rows."""
+    return [GaussianInt(r, s) for r, s in up_to_norm_rows(max_norm, min_norm).tolist()]
 
 
 def is_primary(z: GaussianInt) -> bool:

@@ -22,6 +22,7 @@ from .gaussian import (
     is_primary,
     is_primitive,
     up_to_norm,
+    up_to_norm_rows,
 )
 
 __all__ = ["SUITES", "run", "primary_primitive"]
@@ -180,14 +181,16 @@ def g0(bound: int, cases: int, rng: random.Random):
     read as coordinate rows, grouped by |Delta| in numpy and checked one
     |Delta| class at a time.  The pairs come a tile at a time, each pair
     next to its swap (z2, z1), whose brute count is the same, so the count
-    is taken once for both; the first failures are those of the hypothesis
-    pair order."""
-    zs, c = lattice._admitted(up_to_norm(bound))
+    is taken once for both; chunks hold an even number of pairs, so that no
+    pair is split from its swap.  The first failures are those of the
+    hypothesis pair order."""
+    c = lattice._admitted(up_to_norm_rows(bound))
+    chunk = _G0_CHUNK + _G0_CHUNK % 2
     checked = violations = 0
-    firsts: list[int] = []  # the first failures as positions i * len(zs) + j
+    firsts: list[int] = []  # the first failures as positions i * len(c) + j
     for i_tile, j_tile in lattice._swap_closed_tiles(c, _G0_TILE):
-        for lo in range(0, len(i_tile), _G0_CHUNK):
-            i, j = i_tile[lo : lo + _G0_CHUNK], j_tile[lo : lo + _G0_CHUNK]
+        for lo in range(0, len(i_tile), chunk):
+            i, j = i_tile[lo : lo + chunk], j_tile[lo : lo + chunk]
             rows = np.hstack((c[i], c[j]))
             qs, at = np.unique(congruences._delta_abs(rows), return_inverse=True)
             ok = np.zeros(len(rows), dtype=bool)
@@ -199,8 +202,9 @@ def g0(bound: int, cases: int, rng: random.Random):
             bad = np.flatnonzero(~ok)
             checked += len(ok)
             violations += bad.size
-            firsts = sorted(firsts + np.sort(i[bad] * len(zs) + j[bad])[:3].tolist())[:3]
-    return checked, violations, [(zs[k // len(zs)], zs[k % len(zs)]) for k in firsts]
+            firsts = sorted(firsts + np.sort(i[bad] * len(c) + j[bad])[:3].tolist())[:3]
+    pairs = (c[[k // len(c), k % len(c)]].tolist() for k in firsts)
+    return checked, violations, [(GaussianInt(*z1), GaussianInt(*z2)) for z1, z2 in pairs]
 
 
 def counts(bound: int, cases: int, rng: random.Random):

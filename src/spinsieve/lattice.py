@@ -29,8 +29,8 @@ import math
 
 import numpy as np
 
-from .congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
-from .gaussian import GaussianInt, _isqrt_vec, delta, rational_residue, up_to_norm
+from .congruences import G0_formula, _lemma_84_failure
+from .gaussian import GaussianInt, _isqrt_vec, delta, rational_residue, up_to_norm_rows
 
 __all__ = [
     "weight_eval",
@@ -234,7 +234,7 @@ def _admissible_index_pairs(
     for lo in range(z1s.start, z1s.stop if left != 0 else z1s.start, step):
         hi = min(lo + step, z1s.stop)
         i_parts, j_parts = [], []
-        for k in np.unique(cls[lo:hi]).tolist():
+        for k in np.flatnonzero(np.bincount(cls[lo:hi], minlength=64)).tolist():
             i = lo + np.flatnonzero(cls[lo:hi] == k)
             j = by_class[ends[k] : ends[k + 1]]
             j = j[np.searchsorted(j, z2s.start) : np.searchsorted(j, z2s.stop)]
@@ -272,17 +272,27 @@ def _swap_closed_tiles(c: np.ndarray, side: int):
                 yield np.stack((i, j, j, i), axis=1).reshape(-1, 2).T
 
 
-def _admitted(zs: list[GaussianInt]) -> tuple[list[GaussianInt], np.ndarray]:
-    # the candidates that pass every one-argument hypothesis, and their rows
-    zs = [z for z in zs if _lemma_84_admits(z)]
-    return zs, np.array([(z.re, z.im) for z in zs], dtype=np.int64).reshape(-1, 2)
+def _admitted(c: np.ndarray) -> np.ndarray:
+    # the rows (Re z, Im z) of c that pass every one-argument hypothesis of
+    # the Lemma 8.4 domain (congruences._LEMMA_84_EACH): z odd, as
+    # r^2 + s^2 = r + s (mod 2), and primitive
+    r, s = c.T
+    return c[((r + s) % 2 == 1) & (np.gcd(r, s) == 1)]
 
 
-def _admissible_pairs(zs: list[GaussianInt], delta_cap: int | None, limit: int | None):
-    # the pairs of _admissible_index_pairs as (z1, z2), members shared with zs
-    zs, c = _admitted(zs)
+def _admissible_rows(c: np.ndarray, delta_cap: int | None, limit: int | None):
+    # the pairs of _admissible_index_pairs over the admitted rows of c, as
+    # blocks of coordinate rows (Re z1, Im z1, Re z2, Im z2)
+    c = _admitted(c)
     for i, j in _admissible_index_pairs(c, delta_cap, limit):
-        yield from zip(map(zs.__getitem__, i.tolist()), map(zs.__getitem__, j.tolist()))
+        yield np.hstack((c[i], c[j]))
+
+
+def _as_pairs(blocks):
+    # the coordinate rows of blocks as pairs (z1, z2)
+    for rows in blocks:
+        for r1, s1, r2, s2 in rows.tolist():
+            yield GaussianInt(r1, s1), GaussianInt(r2, s2)
 
 
 def hypothesis_rows(
@@ -294,9 +304,7 @@ def hypothesis_rows(
     """The pairs of hypothesis_pairs, in the same order, as blocks of int64
     coordinate rows (Re z1, Im z1, Re z2, Im z2).  A block holds the pairs
     of whole z1 rows, found about 2^15 tested (z1, z2) entries at a time."""
-    _, c = _admitted(up_to_norm(max_norm, min_norm))
-    for i, j in _admissible_index_pairs(c, delta_cap, limit):
-        yield np.hstack((c[i], c[j]))
+    yield from _admissible_rows(up_to_norm_rows(max_norm, min_norm), delta_cap, limit)
 
 
 def hypothesis_pairs(
@@ -308,7 +316,7 @@ def hypothesis_pairs(
     """Deterministic stream of ordered pairs (z1, z2) with both odd,
     primitive, coprime, congruent mod 8, and nonzero determinant; ordered
     by (norm, re, im).  delta_cap restricts |Delta|, limit the count."""
-    yield from _admissible_pairs(up_to_norm(max_norm, min_norm), delta_cap, limit)
+    yield from _as_pairs(hypothesis_rows(max_norm, delta_cap, limit, min_norm))
 
 
 def box_pairs(
@@ -317,12 +325,9 @@ def box_pairs(
 ):
     """Hypothesis pairs with both members in a polar box (norms in
     [norm_lo, norm_hi], argument in [angle_lo, angle_lo + angle_width))."""
-    box = [
-        z
-        for z in up_to_norm(norm_hi, norm_lo)
-        if angle_lo <= math.atan2(z.im, z.re) < angle_lo + angle_width
-    ]
-    yield from _admissible_pairs(box, delta_cap, None)
+    c = up_to_norm_rows(norm_hi, norm_lo)
+    box = [angle_lo <= math.atan2(s, r) < angle_lo + angle_width for r, s in c.tolist()]
+    yield from _as_pairs(_admissible_rows(c[np.array(box, dtype=bool)], delta_cap, None))
 
 
 def C0(z1: GaussianInt, z2: GaussianInt, M: float) -> float:

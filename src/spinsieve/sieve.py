@@ -354,17 +354,18 @@ def H_partial(P: int) -> float:
 
 def _prime_power_table(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Prime powers p^k <= x with k >= 2, ascending, with their log p weights;
-    # primes holds every prime <= sqrt(x).
-    vals, logs = [], []
-    for p in primes.tolist():
-        v = p * p
-        while v <= x:
-            vals.append(v)
-            logs.append(math.log(p))
-            v *= p
-    vals = np.array(vals, dtype=np.int64)
+    # primes holds every prime <= sqrt(x).  The squares come as one array,
+    # and each further exponent multiplies only the powers that stay <= x.
+    # The weights are math.log's: np.log differs from it in the last bit at
+    # some primes, and observed sums them.
+    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
+    vals, at = [primes * primes], [np.arange(len(primes))]
+    while (more := vals[-1] <= x // primes[at[-1]]).any():  # p^(k+1) <= x
+        vals.append(vals[-1][more] * primes[at[-1][more]])
+        at.append(at[-1][more])
+    vals, at = np.concatenate(vals), np.concatenate(at)
     order = np.argsort(vals, kind="stable")
-    return vals[order], np.array(logs, dtype=np.float64)[order]
+    return vals[order], logs[at[order]]
 
 
 def _is_square(v: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ from spinsieve.gaussian import (
     primary_reps,
     rational_residue,
     two_squares,
+    up_to_norm,
+    up_to_norm_rows,
 )
 
 UNITS = (G(1, 0), G(0, 1), G(-1, 0), G(0, -1))
@@ -32,6 +34,20 @@ def test_ring_ops():
     assert conj(G(9, 4)) == G(9, -4)
     assert G(2, 3) + G(1, -1) == G(3, 2)
     assert G(2, 3) - G(1, -1) == G(1, 4)
+
+
+@pytest.mark.parametrize("max_norm, min_norm", [(0, 1), (1, 1), (2, 2), (500, 1), (1000, 1), (2500, 9)])
+def test_up_to_norm_rows_equal_the_sorted_scan(max_norm, min_norm):
+    # the plain scan of the square, sorted by (norm, re, im)
+    m = math.isqrt(max(max_norm, 0))
+    want = sorted(
+        (G(r, s) for r in range(-m, m + 1) for s in range(-m, m + 1) if min_norm <= r * r + s * s <= max_norm),
+        key=lambda z: (z.norm(), z.re, z.im),
+    )
+    rows = up_to_norm_rows(max_norm, min_norm)
+    assert rows.dtype == np.int64 and rows.shape == (len(want), 2)
+    assert rows.tolist() == [[z.re, z.im] for z in want]
+    assert up_to_norm(max_norm, min_norm) == want
 
 
 def test_primary_associate_examples():

@@ -4,6 +4,7 @@ one table per norm, transform a block of coordinate rows at a time, residues
 on one count of squares per d."""
 
 import ast
+import itertools
 import math
 from collections import defaultdict
 from pathlib import Path
@@ -198,6 +199,12 @@ def test_g0_group_kernel_equals_double_loop():
     assert len(group) == 600
     counts = congruences._g0_brute_counts(q, congruences._pair_coords(group))
     assert counts.tolist() == [_double_loop(q, z1, z2) for z1, z2 in group]
+    # an even group in hypothesis pair order, not pair and swap in turn,
+    # with two distinct counts
+    group = groups[24]
+    want = [_double_loop(24, z1, z2) for z1, z2 in group]
+    assert len(group) % 2 == 0 and len(set(want)) == 2
+    assert congruences._g0_brute_counts(24, congruences._pair_coords(group)).tolist() == want
 
 
 def test_g0_kernel_counts_each_swapped_pair_once(monkeypatch):
@@ -238,6 +245,45 @@ def test_g0_kernel_counts_each_swapped_pair_once(monkeypatch):
     rows.clear()
     assert identities.run("g0", 200)[:2] == (1856, 0)
     assert sum(rows) == 928
+
+
+@pytest.mark.parametrize("tile", [3, 37, 1280])
+def test_g0_suite_hands_over_each_pair_next_to_its_swap(monkeypatch, tile):
+    # every |Delta| group the suite builds is (pair, swap) rows in turn, so
+    # the brute count reads only its even rows, also when an odd chunk size
+    # is asked for
+    monkeypatch.setattr(identities, "_G0_TILE", tile)
+    kernel, groups = congruences._g0_brute_counts, []
+
+    def recorded(q, c):
+        groups.append(c)
+        return kernel(q, c)
+
+    monkeypatch.setattr(congruences, "_g0_brute_counts", recorded)
+    for chunk in (identities._G0_CHUNK, 7):
+        monkeypatch.setattr(identities, "_G0_CHUNK", chunk)
+        groups.clear()
+        checked, violations, _ = identities.run("g0", 300)
+        assert violations == 0 and sum(map(len, groups)) == checked > 3000
+        for c in groups:
+            assert len(c) % 2 == 0 and (c[1::2] == c[::2][:, [2, 3, 0, 1]]).all(), (tile, chunk)
+
+
+def test_g0_gcd_form_equals_double_loop_off_the_domain():
+    # z1 primitive: the one candidate v = u w (mod q) hits only for the u
+    # that q / gcd(w Re z1 - Re z2, w Im z1 - Im z2, q) divides.  At
+    # q = |Delta| that gcd is q, so moduli q != |Delta| test the other u.
+    c = np.array([r for r in itertools.product(range(-4, 5), repeat=4) if math.gcd(*r[:2]) == 1])
+    r1, s1, r2, s2 = c.T
+    lam, mu, _ = arith.bezout_vec(r1, s1)
+    w = lam * r2 + mu * s2
+    checked = 0
+    for q in range(1, 25):
+        rows = c[np.gcd(np.gcd(w * r1 - r2, w * s1 - s2), q) < q][q % 5 :: 37].tolist()
+        counts = congruences._g0_coset_counts(q, np.array(rows, dtype=np.int64).reshape(-1, 4))
+        assert counts.tolist() == [_double_loop(q, G(*r[:2]), G(*r[2:])) for r in rows], q
+        checked += len(rows)
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("tile", [3, 37])

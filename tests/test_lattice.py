@@ -9,7 +9,7 @@ import pytest
 
 from spinsieve.congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
 from spinsieve import lattice
-from spinsieve.gaussian import GaussianInt as G, delta, ggcd, up_to_norm
+from spinsieve.gaussian import GaussianInt as G, delta, ggcd, up_to_norm, up_to_norm_rows
 from spinsieve.lattice import (
     C0,
     C_direct,
@@ -259,6 +259,16 @@ def test_hypothesis_rows_equal_pair_coordinates(monkeypatch, block):
             assert len(blocks) == len({r[:2] for r in rows})
     box = [z for z in up_to_norm(1000, 250) if 0.35 <= math.atan2(z.im, z.re) < 0.35 + 0.45]
     assert _coords(box_pairs(250, 1000, 0.35, 0.45, delta_cap=300)) == _coords(_plain_pairs(box, 300, None))
+
+
+def test_admitted_rows_equal_the_scalar_filter():
+    for max_norm, min_norm in ((1, 1), (100, 1), (2500, 9)):
+        want = [[z.re, z.im] for z in up_to_norm(max_norm, min_norm) if _lemma_84_admits(z)]
+        assert lattice._admitted(up_to_norm_rows(max_norm, min_norm)).tolist() == want
+    # on the axes only the units pass, and the origin fails
+    c = np.array([(0, 1), (0, -1), (0, 3), (2, 0), (1, 0), (-4, 3), (6, 3), (-5, -2), (0, 0)], dtype=np.int64)
+    want = [[z.re, z.im] for z in map(G, *c.T.tolist()) if _lemma_84_admits(z)]
+    assert lattice._admitted(c).tolist() == want == [[0, 1], [0, -1], [1, 0], [-4, 3], [-5, -2]]
 
 
 def test_coprimality_as_rational_gcd():

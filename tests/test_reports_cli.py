@@ -419,6 +419,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0 and proc.stdout.strip() == "False (0, 0) False", proc.stderr
 
 
+def test_cli_identities_and_lattice_leave_numpy_ma_unloaded():
+    # numpy.ma costs about 10 ms to import; a bare np.unique can load it
+    script = (
+        "import contextlib, io, sys, spinsieve.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = (cli.main(['identities', '--suite', 'all']), cli.main(['lattice']))\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "(0, 0) False", proc.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
 def test_import_runs_one_thread_and_keeps_a_preset_blas_setting():
     # numpy's OpenBLAS would start a second thread at import; the package

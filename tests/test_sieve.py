@@ -259,6 +259,23 @@ def test_root_sieve_last_line():
             assert _root_sieve(x).line(b, amax).tolist() == _prime_at(b, amax), (b, gap)
 
 
+def test_prime_power_table_equals_plain_loop():
+    # one p at a time, with math.log's weights bit for bit: np.log differs
+    # from them at some primes below sqrt(1e11)
+    for x in (1, 4, 8, 9, 27, 28, 10**6, 4_400_000_000, 10**11):
+        primes = ar.primes_up_to(math.isqrt(x))
+        want = []
+        for p in primes.tolist():
+            v = p * p
+            while v <= x:
+                want.append((v, math.log(p)))
+                v *= p
+        want.sort()
+        vals, logs = sv._prime_power_table(x, primes)
+        assert vals.dtype == np.int64 and vals.tolist() == [v for v, _ in want], x
+        assert logs.tobytes() == np.array([w for _, w in want], dtype=np.float64).tobytes(), x
+
+
 def _line_prime_powers(x):
     """(b, the prime powers p^k, k >= 2, in (b^4, amax^2 + b^4], and the
     square test's mask over them) for every line of x."""
