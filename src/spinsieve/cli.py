@@ -112,14 +112,20 @@ def cmd_remainder(x: int, d_max: int, timing: bool) -> tuple[Report, Checks]:
     ), {}
 
 
-def cmd_lattice(M: float, bound: int, cases: int) -> tuple[Report, Checks]:
+def cmd_lattice(M: float, bound: int, cases: int, timing: bool) -> tuple[Report, Checks]:
     rows = []
     exact = 0
     t = Tally()
+    seconds = dict.fromkeys(("direct_s", "param_s", "c0_s"), 0.0)
     for z1, z2 in lattice.hypothesis_pairs(2500, delta_cap=bound, limit=cases, min_norm=9):
+        t0 = time.perf_counter()
         cd = lattice.C_direct(z1, z2, M)
+        t1 = time.perf_counter()
         cp = lattice.C_param(z1, z2, M)
+        t2 = time.perf_counter()
         c0 = lattice.C0(z1, z2, M)
+        for key, dt in zip(seconds, (t1 - t0, t2 - t1, time.perf_counter() - t2)):
+            seconds[key] += dt
         eq = cd == cp
         exact += eq
         if cd or cp:  # two empty counts check nothing
@@ -137,11 +143,14 @@ def cmd_lattice(M: float, bound: int, cases: int) -> tuple[Report, Checks]:
                 "c0": c0,
             }
         )
+    summary = {"pairs": len(rows), "exact_equal": exact}
+    if timing:  # the seconds of each count over all pairs, and the w C_direct scans per pair
+        summary |= seconds | {"annulus_points": len(lattice._annulus(M)[0])}
     return Report(
         command="lattice",
         parameters={"M": M, "bound": bound, "cases": cases},
         rows=rows,
-        summary={"pairs": len(rows), "exact_equal": exact},
+        summary=summary,
     ), {"c_direct=c_param": t.result()}
 
 
@@ -156,9 +165,12 @@ def cmd_constants() -> tuple[Report, Checks]:
     return Report(command="constants", parameters={}, rows=rows, summary={}), {}
 
 
-def cmd_decomp(x: int, r: int, cases: int, seed: int) -> tuple[Report, Checks]:
+def cmd_decomp(x: int, r: int, cases: int, seed: int, timing: bool) -> tuple[Report, Checks]:
     rows = []
     t = Tally()
+    t0 = time.perf_counter()
+    decomp.identity_structure(x, r)  # cached; the trials read it
+    t1 = time.perf_counter()
     for trial, (lhs, rhs, eq) in enumerate(decomp.prop_24_2_trials(x, r, cases, seed)):
         t.case(eq, trial)
         rows.append(
@@ -170,17 +182,26 @@ def cmd_decomp(x: int, r: int, cases: int, seed: int) -> tuple[Report, Checks]:
                 "equal": eq,
             }
         )
+    t2 = time.perf_counter()
     vx = min(x, 2000)
     vaughan = decomp.vaughan_check(vx)  # its inputs are (n, y)
+    summary = {
+        "identity_failures": t.violations,
+        "vaughan_checked": vx,
+        "vaughan_failures": vaughan[1],
+    }
+    if timing:
+        summary |= {
+            "structure_s": t1 - t0,
+            "trials_s": t2 - t1,
+            "vaughan_s": time.perf_counter() - t2,
+            "vaughan_cases": vaughan[0],
+        }
     return Report(
         command="decomp",
         parameters={"x": x, "r": r, "cases": cases, "seed": seed},
         rows=rows,
-        summary={
-            "identity_failures": t.violations,
-            "vaughan_checked": vx,
-            "vaughan_failures": vaughan[1],
-        },
+        summary=summary,
     ), {"prop_24_2": t.result(), "vaughan": vaughan}
 
 
@@ -274,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_finite_positive(10**4), default=2500.0, help="%(type)s")
     sp.add_argument("--bound", type=int, default=200)
     sp.add_argument("--cases", type=_int_in(1, 1000), default=25, help="%(type)s")
-    sp.set_defaults(run=lambda a: cmd_lattice(a.m, a.bound, a.cases))
+    sp.add_argument("--timing", action="store_true")
+    sp.set_defaults(run=lambda a: cmd_lattice(a.m, a.bound, a.cases, a.timing))
     common(sp, threads=False)
 
     sp = sub.add_parser("constants", help="kappa, 4/pi, Euler products")
@@ -286,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--cases", type=_int_in(1, 100), default=5, help="%(type)s")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(run=lambda a: cmd_decomp(a.x, a.r, a.cases, a.seed))
+    sp.add_argument("--timing", action="store_true")
+    sp.set_defaults(run=lambda a: cmd_decomp(a.x, a.r, a.cases, a.seed, a.timing))
     common(sp, threads=False)
 
     return p

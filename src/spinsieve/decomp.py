@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from ._util import Tally
-from .arith import _smallest_prime_factors, factorize, von_mangoldt
+from .arith import _smallest_prime_factors, factorize
 
 __all__ = [
     "SeparationTriple",
@@ -37,6 +39,7 @@ __all__ = [
     "prop_24_2_check",
     "prop_24_2_trials",
     "vaughan_terms",
+    "vaughan_term_arrays",
     "vaughan_check",
 ]
 
@@ -285,7 +288,8 @@ def vaughan_terms(n: int, y: int) -> tuple[float, float, float]:
         t2 = sum_{ab | n, a, b <= y} mu(a) Lambda(b)
         t3 = sum_{ab | n, a, b > y} mu(a) Lambda(b)
 
-    mu(a) and Lambda(b) = log p, b = p^k, are read off one factorization."""
+    mu(a) and Lambda(b) = log p, b = p^k, are read off one factorization.
+    The scalar oracle of vaughan_term_arrays, which vaughan_check reads."""
     if n < 1 or y < 1:
         raise ValueError("n and y must be positive")
     factors = factorize(n).factors
@@ -301,14 +305,77 @@ def vaughan_terms(n: int, y: int) -> tuple[float, float, float]:
     return math.fsum(t1), math.fsum(t2), math.fsum(t3)
 
 
+@lru_cache(maxsize=1)
+def _mobius_mangoldt(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # mu(n) and Lambda(n) for 0 <= n <= n_max, both 0 at n = 0, as read-only
+    # arrays, read off the smallest prime factors: each pass divides every n
+    # not yet at 1 by the least prime p of what is left of it, which makes
+    # mu 0 when p divides the rest again and keeps n a prime power while p
+    # is its least prime.
+    spf = _smallest_prime_factors(n_max).astype(np.int64)
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    mu[0] = 0
+    power = np.arange(n_max + 1) >= 2
+    rest = np.arange(n_max + 1)
+    live = np.flatnonzero(rest >= 2)
+    while live.size:
+        p = spf[rest[live]]
+        rest[live] //= p
+        mu[live] *= np.where(rest[live] % p == 0, 0, -1)
+        power[live] &= p == spf[live]
+        live = live[rest[live] > 1]
+    lam = np.zeros(n_max + 1)
+    lam[power] = np.log(spf[power])
+    mu.flags.writeable = lam.flags.writeable = False
+    return mu, lam
+
+
+def vaughan_term_arrays(n_max: int, y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The divisor sums (t1, t2, t3) of vaughan_terms(n, y) for every
+    0 <= n <= n_max at once, as float arrays indexed by n (0 at n = 0), from
+    divisor sieves over the mu and Lambda of the integers up to n_max:
+
+        L<=(m) = sum_{b | m, b <= y} Lambda(b),  L>(m) = sum_{b | m, b > y} Lambda(b)
+
+    by strided adds over the prime powers b, then t1, t2, t3 by strided adds
+    of mu(a) log m, mu(a) L<=(m) and mu(a) L>(m) at n = a m over the
+    squarefree a, a <= y for t1 and t2 and a > y for t3.  L>(m) is 0 for
+    m <= y, so t3 reads only the a <= n_max / (y + 1)."""
+    if n_max < 0 or y < 1:
+        raise ValueError("n_max must be nonnegative and y positive")
+    mu, lam = _mobius_mangoldt(n_max)
+    logs = np.zeros(n_max + 1)
+    logs[1:] = np.log(np.arange(1, n_max + 1))
+    m_gt = n_max // (y + 1)  # the largest m = n / a with a > y
+    lam_le, lam_gt = np.zeros(n_max + 1), np.zeros(m_gt + 1)
+    for b in np.flatnonzero(lam[: min(y, n_max) + 1]).tolist():
+        lam_le[b::b] += lam[b]
+    for b in (y + 1 + np.flatnonzero(lam[y + 1 : m_gt + 1])).tolist():
+        lam_gt[b::b] += lam[b]
+    t1, t2, t3 = np.zeros(n_max + 1), np.zeros(n_max + 1), np.zeros(n_max + 1)
+    for a in np.flatnonzero(mu[: min(y, n_max) + 1]).tolist():
+        k = n_max // a
+        t1[a::a] += mu[a] * logs[1 : k + 1]
+        t2[a::a] += mu[a] * lam_le[1 : k + 1]
+    for a in (y + 1 + np.flatnonzero(mu[y + 1 : m_gt + 1])).tolist():
+        t3[a::a] += mu[a] * lam_gt[1 : n_max // a + 1]
+    return t1, t2, t3
+
+
 def vaughan_check(n_max: int):
     """Vaughan's identity t1 - t2 + t3 = Lambda(n) [n > y] for every
-    n <= n_max and y in (10, 100), to 1e-9; returns (checked, violations,
-    first)."""
+    n <= n_max and y in (10, 100), to 1e-9, with the terms of
+    vaughan_term_arrays; returns (checked, violations, first), the cases in
+    the order n ascending, then y."""
     t = Tally()
-    for n in range(1, n_max + 1):
-        lam = von_mangoldt(n)
-        for y in (10, 100):
-            t1, t2, t3 = vaughan_terms(n, y)
-            t.case(abs(t1 - t2 + t3 - (lam if n > y else 0.0)) <= 1e-9, n, y)
+    if n_max < 1:
+        return t.result()
+    n = np.arange(1, n_max + 1)
+    _, lam = _mobius_mangoldt(n_max)
+    ys = (10, 100)
+    ok = np.empty((n_max, len(ys)), dtype=bool)
+    for j, y in enumerate(ys):
+        t1, t2, t3 = (v[1:] for v in vaughan_term_arrays(n_max, y))
+        ok[:, j] = np.abs(t1 - t2 + t3 - np.where(n > y, lam[1:], 0.0)) <= 1e-9
+    t.cases(ok.ravel(), lambda i: (i // len(ys) + 1, ys[i % len(ys)]))
     return t.result()

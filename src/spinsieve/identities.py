@@ -9,7 +9,6 @@ and the acceptance gate both run suites through ``run``.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import numpy as np
@@ -212,11 +211,10 @@ def counts(bound: int, cases: int, rng: random.Random):
     every a of one modulus checked in one pass."""
     t = Tally()
     for q in range(1, bound + 1, 2):
-        avals = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        closed = congruences._n_closed_forms(q, avals)
-        brute = congruences._n_brute_counts(q, avals).tolist()
-        for a, f, c in zip(avals, closed, brute):
-            t.case(f == c, a, q)
+        a = np.arange(1, q + 1)
+        avals = a[np.gcd(a, q) == 1].tolist()
+        closed = np.array(congruences._n_closed_forms(q, avals))
+        t.cases(closed == congruences._n_brute_counts(q, avals), lambda i: (avals[i], q))
     return t.result()
 
 

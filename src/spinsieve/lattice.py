@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .congruences import G0_formula, _lemma_84_failure
-from .gaussian import GaussianInt, _isqrt_vec, delta, rational_residue, up_to_norm_rows
+from .gaussian import GaussianInt, delta, rational_residue, up_to_norm_rows
 
 __all__ = [
     "weight_eval",
@@ -95,57 +95,96 @@ def weight_mass(M: float) -> float:
     return _mass_constant() * math.sqrt(M)
 
 
-def _direct_weights(z1: GaussianInt, z2: GaussianInt, M: float) -> dict[int, int]:
-    # norm(w) -> total integer zweight product over w in the annulus.
+# One annulus per M, a few M at once: the lattice command uses one M, and
+# the annulus at the M cap of 10^4 holds about 118K points, 2.8 MB.
+@functools.lru_cache(maxsize=4)
+def _annulus(M: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (Re w, Im w, |w|^2) of every w with M/4 <= |w|^2 <= 4M, w != 0, as
+    # read-only int64 arrays: the support of f, which depends on M alone
     R = math.isqrt(int(4 * M))
     u = np.arange(-R, R + 1, dtype=np.int64)
     uu, vv = np.meshgrid(u, u, indexing="ij")
     nw = uu * uu + vv * vv
     keep = (4 * nw >= M) & (nw <= 4 * M) & (nw > 0)
-    uu, vv, nw = uu[keep], vv[keep], nw[keep]
-    b1 = uu * z1.re + vv * z1.im  # Re(conj(w) z1)
-    b2 = uu * z2.re + vv * z2.im
-
-    def zw(b):  # zweight over an array; |b| <= 2R|z| is far below 2^53
-        r = _isqrt_vec(np.maximum(b, 0))
-        return np.where(r * r == b, np.where(b > 0, 2, 1), 0)
-
-    wgt = zw(b1) * zw(b2)
-    keep = wgt > 0
-    out: dict[int, int] = {}
-    for nv, g in zip(nw[keep].tolist(), wgt[keep].tolist()):
-        out[nv] = out.get(nv, 0) + g
+    out = uu[keep], vv[keep], nw[keep]
+    for a in out:
+        a.flags.writeable = False
     return out
+
+
+def _squares(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the positions of the squares in the int64 array b, and their zweights,
+    # 2 on the positive squares and 1 at 0.  A square s^2 < 2^63 has
+    # s < 2^32, and the float root of s^2 is within 1/2 of s.
+    at = np.flatnonzero(b >= 0)
+    r = np.rint(np.sqrt(b[at])).astype(np.int64)
+    at = at[r * r == b[at]]
+    return at, np.where(b[at] > 0, 2, 1)
+
+
+def _norm_totals(nw: np.ndarray, wgt: np.ndarray | None = None) -> dict[int, int]:
+    # norm -> total weight (or count) of the entries with that norm
+    norms, at = np.unique(nw, return_inverse=True)
+    totals = np.bincount(at, weights=wgt, minlength=len(norms)).astype(np.int64)
+    return dict(zip(norms.tolist(), totals.tolist()))
+
+
+def _direct_weights(z1: GaussianInt, z2: GaussianInt, M: float) -> dict[int, int]:
+    # norm(w) -> total integer zweight product over w in the annulus: the
+    # square test of b1 = Re(conj(w) z1) on every w, then that of
+    # b2 = Re(conj(w) z2) on the w that pass it
+    uu, vv, nw = _annulus(M)
+    hit, w1 = _squares(uu * z1.re + vv * z1.im)
+    at, w2 = _squares(uu[hit] * z2.re + vv[hit] * z2.im)
+    return _norm_totals(nw[hit[at]], w1[at] * w2)
+
+
+# (c1, c2) rows _param_weights expands at once, as whole c1 values; its
+# int64 working arrays stay near 512 KB each.
+_PARAM_CHUNK = 1 << 16
 
 
 def _param_weights(z1: GaussianInt, z2: GaussianInt, M: float) -> dict[int, int]:
-    # Same multiset of weighted norms via the congruence parameterization.
-    q = abs(delta(z1, z2))
+    # Same multiset of weighted norms via the congruence parameterization:
+    # the pairs (c1, c2) with c2^2 = t c1^2 (mod q), t = z2/z1 and q = |Delta|,
+    # each giving the w with i Delta w = c1^2 z2 - c2^2 z1, counted where f(w)
+    # can be nonzero.  The c2 in range come sorted by c2^2 mod q, so the
+    # square roots of the class t c1^2 of each c1 are one slice of them.
+    dd = delta(z1, z2)
+    q = abs(dd)
     t = rational_residue(z1, z2, q)
-    table: list[list[int]] = [[] for _ in range(q)]
-    for y in range(q):
-        table[y * y % q].append(y)
     c1max = math.isqrt(math.isqrt(int(4 * M * z1.norm())))
     c2max = math.isqrt(math.isqrt(int(4 * M * z2.norm())))
-    dd = delta(z1, z2)
-    out: dict[int, int] = {}
-    for c1 in range(-c1max, c1max + 1):
-        target = t * c1 * c1 % q
-        for y in table[target]:
-            c2 = y - ((y + c2max) // q) * q  # smallest >= -c2max in the class
-            while c2 <= c2max:
-                num = GaussianInt(
-                    c1 * c1 * z2.re - c2 * c2 * z1.re,
-                    c1 * c1 * z2.im - c2 * c2 * z1.im,
-                )
-                # w = num / (i Delta); i*Delta = (0, Delta)
-                assert num.re % dd == 0 and num.im % dd == 0
-                w = GaussianInt(num.im // dd, -num.re // dd)
-                nw = w.norm()
-                if 4 * nw >= M and nw <= 4 * M and nw > 0:
-                    out[nw] = out.get(nw, 0) + 1
-                c2 += q
-    return out
+    # every int64 below stays under 2^62: each coordinate of c1^2 z2 - c2^2 z1
+    # is at most num_max, so |w|^2 <= 2 (num_max / q)^2, and t (c1^2 mod q) < q^2
+    num_max = c1max**2 * max(abs(z2.re), abs(z2.im)) + c2max**2 * max(abs(z1.re), abs(z1.im))
+    if max(num_max, 2 * (num_max // q + 1) ** 2, q * q) >= 1 << 62:
+        raise ValueError("the congruence rows leave int64")
+    c2 = np.arange(-c2max, c2max + 1, dtype=np.int64)
+    cls = c2 * c2 % q
+    order = np.argsort(cls, kind="stable")
+    c2, cls = c2[order], cls[order]
+    c1 = np.arange(-c1max, c1max + 1, dtype=np.int64)
+    target = t * (c1 * c1 % q) % q
+    lo = np.searchsorted(cls, target, "left")
+    cnt = np.searchsorted(cls, target, "right") - lo  # at least 1 at c1 = 0
+    ends = np.cumsum(cnt)
+    first = ends - cnt  # the row of each c1's first c2
+    norms = []
+    a = 0
+    while a < len(c1):
+        b = max(a + 1, int(np.searchsorted(ends, first[a] + _PARAM_CHUNK, "right")))
+        k = cnt[a:b]
+        at = np.repeat(lo[a:b] - (first[a:b] - first[a]), k) + np.arange(int(k.sum()))
+        s1, s2 = np.repeat(c1[a:b] ** 2, k), c2[at] ** 2
+        num_re, num_im = s1 * z2.re - s2 * z1.re, s1 * z2.im - s2 * z1.im
+        if ((num_re % dd != 0) | (num_im % dd != 0)).any():
+            raise ValueError("Delta does not divide c1^2 z2 - c2^2 z1")
+        w_re, w_im = num_im // dd, -num_re // dd  # w = num / (i Delta), i Delta = (0, Delta)
+        nw = w_re * w_re + w_im * w_im
+        norms.append(nw[(4 * nw >= M) & (nw <= 4 * M) & (nw > 0)])
+        a = b
+    return _norm_totals(np.concatenate(norms))
 
 
 def _sum_weights(wts: dict[int, int], M: float) -> float:

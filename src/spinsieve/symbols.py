@@ -184,7 +184,9 @@ def primary_gcd_cofactor(
         e = primary_associate(e)[0]
     d = e.norm()  # e conj(e) = d as a Gaussian integer
     prod = w1 * w2
-    assert prod.re % d == 0 and prod.im % d == 0
+    if prod.re % d or prod.im % d:
+        raise ValueError("e conj(e) does not divide w1 w2")
     cof = GaussianInt(prod.re // d, prod.im // d)
-    assert is_primary(cof) and is_primitive(cof)
+    if not (is_primary(cof) and is_primitive(cof)):
+        raise ValueError("the cofactor is not primary primitive")
     return e, cof

@@ -22,6 +22,8 @@ from spinsieve.decomp import (
     prop_24_2_check,
     separate,
     squarefree_up_to,
+    vaughan_check,
+    vaughan_term_arrays,
     vaughan_terms,
 )
 
@@ -254,6 +256,56 @@ def test_vaughan_terms_equal_divisor_walk():
                 mu[a] * lam[b] for a in divs if a > y for b in divisors(n // a) if b > y
             )
             assert vaughan_terms(n, y) == (t1, t2, t3), (n, y)
+
+
+def test_mobius_mangoldt_tables_equal_scalar_functions():
+    mu, lam = decomp._mobius_mangoldt(20000)
+    assert not (mu.flags.writeable or lam.flags.writeable)
+    assert mu[0] == 0 and lam[0] == 0
+    assert mu[1:].tolist() == [mobius(n) for n in range(1, 20001)]
+    assert lam[1:].tolist() == [von_mangoldt(n) for n in range(1, 20001)]
+
+
+def test_vaughan_term_arrays_equal_vaughan_terms():
+    for y in (1, 2, 10, 100, 3000):
+        arrays = vaughan_term_arrays(3000, y)
+        assert all(a.shape == (3001,) and a[0] == 0 for a in arrays)
+        for n in range(1, 3001):
+            got = [a[n] for a in arrays]
+            assert all(abs(g - w) <= 1e-12 for g, w in zip(got, vaughan_terms(n, y))), (n, y)
+    with pytest.raises(ValueError):
+        vaughan_term_arrays(10, 0)
+
+
+def _plain_vaughan_check(n_max, mu, lam):
+    # vaughan_check one (n, y) at a time, by divisor walks over the tables
+    checked, violations, first = 0, 0, []
+    for n in range(1, n_max + 1):
+        divs = divisors(n)
+        for y in (10, 100):
+            t1 = sum(mu[a] * math.log(n // a) for a in divs if a <= y)
+            t2 = sum(mu[a] * lam[b] for a in divs if a <= y for b in divisors(n // a) if b <= y)
+            t3 = sum(mu[a] * lam[b] for a in divs if a > y for b in divisors(n // a) if b > y)
+            checked += 1
+            if abs(t1 - t2 + t3 - (lam[n] if n > y else 0.0)) > 1e-9:
+                violations += 1
+                if len(first) < 3:
+                    first.append((n, y))
+    return checked, violations, first
+
+
+def test_vaughan_check_reports_injected_lambda_faults_like_a_plain_loop(monkeypatch):
+    assert vaughan_check(0) == (0, 0, []) and vaughan_check(1) == (2, 0, [])
+    mu, lam = decomp._mobius_mangoldt(400)
+    assert vaughan_check(400) == _plain_vaughan_check(400, mu, lam) == (800, 0, [])
+    # faults at a prime power above both y, at a prime power between them,
+    # and at a composite, which the sieves then read as a prime power
+    bad = lam.copy()
+    bad[[101, 49, 12]] += (0.5, 1.0, 0.25)
+    monkeypatch.setattr(decomp, "_mobius_mangoldt", lambda n_max: (mu[: n_max + 1], bad[: n_max + 1]))
+    got = vaughan_check(400)
+    assert got == _plain_vaughan_check(400, mu, bad)
+    assert got[1] > 3 and got[2][0] == (12, 10)
 
 
 def test_vaughan_terms_factorizes_once(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from spinsieve.congruences import G0_formula, _lemma_84_admits, _lemma_84_failure
 from spinsieve import lattice
-from spinsieve.gaussian import GaussianInt as G, delta, ggcd, up_to_norm, up_to_norm_rows
+from spinsieve.gaussian import GaussianInt as G, delta, ggcd, rational_residue, up_to_norm, up_to_norm_rows
 from spinsieve.lattice import (
     C0,
     C_direct,
@@ -164,6 +164,109 @@ def test_direct_equals_param_many_pairs():
         pw = _param_weights(z1, z2, 2500.0)
         assert dw == pw, (z1, z2)
         assert C_direct(z1, z2, 2500.0) == C_param(z1, z2, 2500.0)
+
+
+def _plain_direct_weights(z1, z2, M):
+    # norm(w) -> total zweight product, one w of the disk |w|^2 <= 4M at a time
+    def zw(b):
+        return 0 if b < 0 or math.isqrt(b) ** 2 != b else 2 if b else 1
+
+    R = math.isqrt(int(4 * M))
+    out = {}
+    for u in range(-R, R + 1):
+        for v in range(-R, R + 1):
+            nw = u * u + v * v
+            if 4 * nw >= M and nw <= 4 * M and nw > 0:
+                g = zw(u * z1.re + v * z1.im) * zw(u * z2.re + v * z2.im)
+                if g:
+                    out[nw] = out.get(nw, 0) + g
+    return out
+
+
+def _plain_param_weights(z1, z2, M):
+    # the same weights one (c1, c2) at a time, in exact integers: c2 runs
+    # over the square roots y of t c1^2 mod q and their shifts by q
+    dd = delta(z1, z2)
+    q = abs(dd)
+    t = rational_residue(z1, z2, q)
+    table = [[] for _ in range(q)]
+    for y in range(q):
+        table[y * y % q].append(y)
+    c1max = math.isqrt(math.isqrt(int(4 * M * z1.norm())))
+    c2max = math.isqrt(math.isqrt(int(4 * M * z2.norm())))
+    out = {}
+    for c1 in range(-c1max, c1max + 1):
+        for y in table[t * c1 * c1 % q]:
+            for c2 in range(y - (y + c2max) // q * q, c2max + 1, q):
+                re = c1 * c1 * z2.re - c2 * c2 * z1.re
+                im = c1 * c1 * z2.im - c2 * c2 * z1.im
+                assert re % dd == 0 and im % dd == 0
+                nw = (im // dd) ** 2 + (re // dd) ** 2  # w = (re + i im) / (i Delta)
+                if 4 * nw >= M and nw <= 4 * M and nw > 0:
+                    out[nw] = out.get(nw, 0) + 1
+    return out
+
+
+def _kernel_pairs():
+    # A12's 120 pairs, and pairs with a zero coordinate
+    pairs = list(hypothesis_pairs(1600, delta_cap=200, limit=120, min_norm=9))
+    axes = [(z1, z2) for z1, z2 in hypothesis_pairs(1000, delta_cap=200)
+            if 0 in (z1.re, z1.im, z2.re, z2.im)]
+    assert len(pairs) == 120 and len(axes) >= 40
+    return pairs + axes[::len(axes) // 20]
+
+
+@pytest.mark.parametrize("M", [1.0, 16.0, 100.0, 2500.0, 1e4])
+def test_count_kernels_equal_plain_loops(M):
+    # the plain scan over w takes 0.16 s a pair at 10^4, so it reads every
+    # tenth pair, and the plain parameterization every pair
+    pairs = _kernel_pairs()
+    for k, (z1, z2) in enumerate(pairs):
+        pw = _plain_param_weights(z1, z2, M)
+        assert _param_weights(z1, z2, M) == pw, (z1, z2)
+        assert _direct_weights(z1, z2, M) == pw, (z1, z2)
+        if k % 10 == 0:
+            assert _plain_direct_weights(z1, z2, M) == pw, (z1, z2)
+
+
+def test_param_kernel_chunks_hold_whole_c1_values(monkeypatch):
+    pairs = _kernel_pairs()[::7]
+    want = [_param_weights(z1, z2, 2500.0) for z1, z2 in pairs]
+    for chunk in (1, 7, 300):
+        monkeypatch.setattr(lattice, "_PARAM_CHUNK", chunk)
+        assert [_param_weights(z1, z2, 2500.0) for z1, z2 in pairs] == want, chunk
+
+
+def test_annulus_is_read_only_and_per_M():
+    a, b = lattice._annulus(2500.0), lattice._annulus(2501.0)
+    assert lattice._annulus(2500.0) is a and a is not b
+    for arrays, M in ((a, 2500.0), (b, 2501.0)):
+        uu, vv, nw = arrays
+        assert all(x.dtype == np.int64 and not x.flags.writeable for x in arrays)
+        with pytest.raises(ValueError):
+            uu[0] = 0
+        R = math.isqrt(int(4 * M))
+        want = sorted((u, v) for u in range(-R, R + 1) for v in range(-R, R + 1)
+                      if M <= 4 * (u * u + v * v) <= 16 * M)
+        assert sorted(zip(uu.tolist(), vv.tolist())) == want
+        assert (nw == uu * uu + vv * vv).all()
+    assert len(b[0]) > len(a[0])  # |w|^2 = 10001 = 100^2 + 1^2 enters at 2501
+
+
+def test_c_param_raises_where_delta_does_not_divide(monkeypatch):
+    z1, z2 = G(1, 4), G(9, 4)
+    assert C_param(z1, z2, 2500.0) == C_direct(z1, z2, 2500.0)
+    real = lattice.rational_residue
+    monkeypatch.setattr(lattice, "rational_residue", lambda a, b, m: (real(a, b, m) + 1) % m)
+    with pytest.raises(ValueError, match="Delta does not divide"):
+        C_param(z1, z2, 2500.0)
+
+
+def test_param_kernel_refuses_rows_past_int64():
+    assert _param_weights(G(1, 0), G(1, 2**16), 1e4) == _plain_param_weights(G(1, 0), G(1, 2**16), 1e4)
+    for z2 in (G(1, 2**40), G(2**30, 1)):  # t (c1^2 mod q), and then |w|^2, would leave int64
+        with pytest.raises(ValueError, match="int64"):
+            _param_weights(G(1, 0), z2, 1e4)
 
 
 def _brute_pairs(zs, delta_cap=None):

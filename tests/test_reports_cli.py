@@ -230,6 +230,46 @@ def test_cli_spin_runtime_only_under_timing():
     )
 
 
+def test_cli_lattice_stage_times_only_under_timing():
+    from spinsieve import cli, lattice
+
+    (plain, _), (timed, checks) = (cli.cmd_lattice(400.0, 100, 10, t) for t in (False, True))
+    assert checks["c_direct=c_param"][:2] == (10, 0)
+    assert timed.rows == plain.rows
+    # --timing adds exactly the seconds of the three counts and the annulus size
+    stages = ("direct_s", "param_s", "c0_s")
+    extra = {k: timed.summary.pop(k) for k in stages + ("annulus_points",)}
+    assert timed.summary == plain.summary and plain.summary["pairs"] == 10
+    assert all(isinstance(extra[k], float) and extra[k] >= 0 for k in stages)
+    # the w with 100 <= |w|^2 <= 1600
+    legs = range(-40, 41)
+    assert extra["annulus_points"] == sum(100 <= u * u + v * v <= 1600 for u in legs for v in legs)
+
+
+def test_cli_decomp_stage_times_only_under_timing():
+    from spinsieve import cli
+
+    (plain, _), (timed, checks) = (cli.cmd_decomp(500, 2, 2, 1, t) for t in (False, True))
+    assert checks["vaughan"] == (1000, 0, [])
+    assert timed.rows == plain.rows
+    # --timing adds exactly the seconds of the three stages and the Vaughan cases
+    stages = ("structure_s", "trials_s", "vaughan_s")
+    extra = {k: timed.summary.pop(k) for k in stages + ("vaughan_cases",)}
+    assert timed.summary == plain.summary
+    assert all(isinstance(extra[k], float) and extra[k] >= 0 for k in stages)
+    assert extra["vaughan_cases"] == 2 * plain.summary["vaughan_checked"] == 1000
+
+
+def test_cli_lattice_bytes_equal_under_python_O():
+    # python -O strips asserts; the counts' checks are raises and stay
+    runs = [
+        subprocess.run([sys.executable, *opt, "-m", "spinsieve", "lattice"], capture_output=True, text=True)
+        for opt in ((), ("-O",))
+    ]
+    assert runs[0].returncode == 0 and len(runs[0].stdout.splitlines()) == 26  # header and 25 pairs
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [(0, runs[0].stdout, "")]
+
+
 def test_cli_identities_runtime_only_under_timing():
     args = ("identities", "--suite", "all", "--bound", "30", "--format", "json")
     code, out, _ = run_cli(*args)

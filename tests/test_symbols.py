@@ -105,6 +105,18 @@ def test_primary_gcd_cofactor_examples():
     assert e == G(1, 0) and cof.norm() == 5 * 13
 
 
+def test_primary_gcd_cofactor_checks_survive_python_O(monkeypatch):
+    # both checks of the cofactor are raises, which python -O keeps
+    from spinsieve import symbols
+
+    monkeypatch.setattr(symbols, "ggcd", lambda a, b: G(3, 0))
+    with pytest.raises(ValueError, match="does not divide"):
+        primary_gcd_cofactor(G(-1, 2), G(3, 2))
+    monkeypatch.setattr(symbols, "ggcd", lambda a, b: G(1, 0))  # the gcd is -1 + 2i
+    with pytest.raises(ValueError, match="not primary primitive"):
+        primary_gcd_cofactor(G(-1, 2), G(-1, -2))
+
+
 def test_jacobi_kubota_examples():
     assert jacobi_kubota(G(1, 0)) == G(1, 0)
     assert jacobi_kubota(G(3, 2)) == G(0, -1)
